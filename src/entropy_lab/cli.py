@@ -23,7 +23,7 @@ from ._errors import (
     ValidationError,
 )
 from .decompositions import DEFAULT_ENUMERATION_CAP
-from .documents import load_json, parse_partition, parse_system
+from .documents import load_json, parse_partition, parse_system, system_to_document
 from .dynamical import (
     DEFAULT_DIM_CAP,
     EntropyKind,
@@ -158,14 +158,6 @@ def _config_doc(args, threads: int) -> dict:
     return doc
 
 
-def _system_doc(system) -> dict:
-    return {
-        "states": list(system.states),
-        "transition": [[float(v) for v in row] for row in system.transition],
-        "stationary": [float(v) for v in system.stationary],
-    }
-
-
 def _partition_doc(part) -> dict:
     return {
         "labels": list(part.labels),
@@ -201,7 +193,7 @@ def cmd_validate(args, threads):
     doc = {
         "command": "validate",
         "config": _config_doc(args, threads),
-        "system": _system_doc(system),
+        "system": system_to_document(system),
         "partitions": [_partition_doc(p) for p in parts],
     }
     rows = [(label, float(system.stationary[i])) for i, label in enumerate(system.states)]
@@ -423,7 +415,7 @@ def cmd_report(args, threads):
     doc = {
         "command": "report",
         "config": _config_doc(args, threads),
-        "system": _system_doc(system),
+        "system": system_to_document(system),
         "partition": _partition_doc(part),
         "sequences": docs,
         "estimates": estimates,

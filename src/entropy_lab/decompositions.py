@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import CapExceededError, ValidationError
-from .entropy import SUM_TOL, as_prob_vector, shannon_entropy
+from .entropy import SUM_TOL, as_prob_vector, as_stochastic_matrix, shannon_entropy
 
 PRUNE_TOL = 1e-15
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -47,13 +47,11 @@ class Decomposition:
 
     def __post_init__(self):
         w = as_prob_vector(self.weights, "weights")
-        c = np.array(self.components, dtype=float)
-        if c.ndim != 2 or c.shape[0] != w.shape[0]:
+        c = as_stochastic_matrix(self.components, "component")
+        if c.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"components must be ({w.shape[0]}, n_states), got {c.shape}"
             )
-        for a in range(c.shape[0]):
-            c[a] = as_prob_vector(c[a], f"component {a}")
         w.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -107,6 +105,7 @@ class MultiDecomposition:
         object.__setattr__(self, "index_sizes", sizes)
         object.__setattr__(self, "weights", flat.weights)
         object.__setattr__(self, "components", flat.components)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def arity(self) -> int:
@@ -117,7 +116,8 @@ class MultiDecomposition:
         return self.components.shape[1]
 
     def as_decomposition(self) -> Decomposition:
-        return Decomposition(self.weights, self.components)
+        """The flat decomposition over the product index, checked at construction."""
+        return self._flat
 
     def mixture(self) -> np.ndarray:
         return self.weights @ self.components

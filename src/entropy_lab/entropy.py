@@ -73,7 +73,12 @@ def as_prob_vector(p, name: str = "p") -> np.ndarray:
 
 
 def as_stochastic_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate a row-stochastic matrix (rows are probability vectors)."""
+    """Validate a row-stochastic matrix and return it as a fresh float array.
+
+    This is the one check that every row is a probability vector: a row is
+    accepted exactly when ``as_prob_vector`` accepts it, and the negative
+    band is clamped to 0 the same way.
+    """
     arr = np.array(m, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be two-dimensional, got shape {arr.shape}")
@@ -91,13 +96,22 @@ def as_stochastic_matrix(m, name: str = "matrix") -> np.ndarray:
     bad = np.argmax(np.abs(sums - 1.0))
     if abs(sums[bad] - 1.0) > SUM_TOL:
         raise ValidationError(
-            f"{name} row {int(bad)} sums to {float(sums[bad])!r}, not 1 within {SUM_TOL:.0e}"
+            f"{name} {int(bad)} (row {int(bad)}) sums to {float(sums[bad])!r}, "
+            f"not 1 within {SUM_TOL:.0e}"
         )
     return arr
 
 
-def _check_symmetric_square(m, name: str) -> np.ndarray:
-    arr = np.array(m, dtype=float)
+def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending.
+
+    Backed by LAPACK through ``numpy.linalg.eigh``.  The input must be
+    square, finite and symmetric within 1e-12.  The result is accepted
+    only if every eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral
+    norm) and the eigenvalue sum matches the trace within 1e-9; otherwise a
+    ValidationError is raised rather than returning silent garbage.
+    """
+    arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -107,18 +121,6 @@ def _check_symmetric_square(m, name: str) -> np.ndarray:
         raise ValidationError(
             f"{name} is not symmetric: max |m - m^T| = {skew:.3e} > {SYMMETRY_TOL:.0e}"
         )
-    return arr
-
-
-def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending.
-
-    Backed by LAPACK through ``numpy.linalg.eigh``.  The result is accepted
-    only if every eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral
-    norm) and the eigenvalue sum matches the trace within 1e-9; otherwise a
-    ValidationError is raised rather than returning silent garbage.
-    """
-    arr = _check_symmetric_square(m, name)
     sym = (arr + arr.T) / 2.0
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -139,12 +141,15 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
 
 
 def _density_spectrum(rho, name: str) -> np.ndarray:
-    """Descending spectrum of a density matrix, with trace and floor checks."""
-    arr = _check_symmetric_square(rho, name)
+    """Descending spectrum of a density matrix, with trace and floor checks.
+
+    The shape and symmetry checks are those of ``symmetric_eigenvalues``.
+    """
+    arr = np.asarray(rho, dtype=float)
+    vals = symmetric_eigenvalues(arr, name)
     trace = float(np.trace(arr))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} has trace {trace!r}, not 1 within {TRACE_TOL:.0e}")
-    vals = symmetric_eigenvalues(arr, name)
     if vals[-1] < -EIG_FLOOR:
         raise ValidationError(
             f"{name} has eigenvalue {float(vals[-1]):.3e} below -{EIG_FLOOR:.0e}"
@@ -154,9 +159,8 @@ def _density_spectrum(rho, name: str) -> np.ndarray:
 
 def as_density_matrix(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: symmetric, unit trace, spectrum >= -1e-10."""
-    arr = _check_symmetric_square(rho, name)
-    _density_spectrum(arr, name)
-    return arr
+    _density_spectrum(rho, name)
+    return np.array(rho, dtype=float)
 
 
 def eta(x):

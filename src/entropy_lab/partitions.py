@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import CapExceededError, ValidationError
-from .entropy import CLAMP_TOL, SUM_TOL, as_prob_vector
+from .entropy import CLAMP_TOL, as_prob_vector, as_stochastic_matrix
 from .systems import StochasticSystem
 
 DEFAULT_WORD_CAP = 2**20
@@ -50,32 +50,24 @@ __all__ = [
 ]
 
 
-def _check_response(arr: np.ndarray, n_rows_name: str = "response") -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValidationError(f"{n_rows_name} must be a non-empty 2-d array, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{n_rows_name} has non-finite entries")
-    if np.any(arr < -CLAMP_TOL) or np.any(arr > 1.0 + CLAMP_TOL):
-        raise ValidationError(f"{n_rows_name} entries must lie in [0, 1] up to 1e-12")
-    arr = np.clip(arr, 0.0, 1.0)
-    sums = arr.sum(axis=1)
-    worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > SUM_TOL:
-        raise ValidationError(
-            f"{n_rows_name} row {worst} sums to {float(sums[worst])!r}, not 1 within {SUM_TOL:.0e}"
-        )
-    return arr
-
-
 @dataclass(eq=False)
 class PartitionOfUnity:
-    """Response matrix of an unsharp measurement, rows indexed by state."""
+    """Response matrix of an unsharp measurement, rows indexed by state.
+
+    Rows are checked by ``as_stochastic_matrix``, entries must not exceed
+    1 + 1e-12, and rows are then normalized to sum to 1 exactly.
+    """
 
     response: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _check_response(np.array(self.response, dtype=float))
+        arr = as_stochastic_matrix(self.response, "response")
+        if np.any(arr > 1.0 + CLAMP_TOL):
+            raise ValidationError("response entries must lie in [0, 1] up to 1e-12")
+        # As for transitions in make_markov: exact rows keep joins and
+        # refinements row-stochastic instead of compounding the tolerance.
+        arr /= arr.sum(axis=1, keepdims=True)
         arr.setflags(write=False)
         object.__setattr__(self, "response", arr)
         if self.labels is None:
@@ -171,20 +163,12 @@ class RefinedPartition:
             raise ValidationError(f"unknown refinement scheme {self.scheme!r}")
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
-        arr = np.array(self.elements, dtype=float)
+        arr = as_stochastic_matrix(self.elements, "elements")
         expected = self.base_outcomes**self.depth
-        if arr.ndim != 2 or arr.shape[1] != expected:
+        if arr.shape[1] != expected:
             raise ValidationError(
                 f"elements must have {expected} columns, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("elements have non-finite entries")
-        if np.any(arr < -CLAMP_TOL):
-            raise ValidationError("elements must be non-negative up to 1e-12")
-        np.clip(arr, 0.0, None, out=arr)
-        sums = arr.sum(axis=1)
-        if float(np.max(np.abs(sums - 1.0))) > SUM_TOL * self.depth:
-            raise ValidationError("refinement elements do not sum to one pointwise")
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
 
@@ -317,7 +301,7 @@ def point_distribution(f, x: int) -> np.ndarray:
     matrix = f.elements if isinstance(f, RefinedPartition) else f.response
     if x < 0 or x >= matrix.shape[0]:
         raise ValidationError(f"state index {x} outside range(0, {matrix.shape[0]})")
-    return as_prob_vector(matrix[x], f"row {x}")
+    return matrix[x].copy()
 
 
 def simple_decomposition(f: PartitionOfUnity):

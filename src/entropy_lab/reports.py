@@ -17,7 +17,7 @@ from ._errors import ValidationError
 
 LN2 = math.log(2.0)
 
-__all__ = ["LN2", "Report", "fmt", "convert_units", "render"]
+__all__ = ["LN2", "Report", "fmt", "convert_units"]
 
 
 def fmt(value) -> str:
@@ -73,7 +73,3 @@ class Report:
             for r in cells:
                 lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         return "\n".join(lines) + "\n"
-
-
-def render(report: Report, format: str) -> str:
-    return report.render(format)

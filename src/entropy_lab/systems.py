@@ -17,7 +17,6 @@ from ._errors import ValidationError
 from .entropy import SUM_TOL, as_prob_vector, as_stochastic_matrix
 
 STATIONARY_TOL = 1e-10
-POWER_ITER_MAX = 10**6
 
 __all__ = [
     "StochasticSystem",
@@ -68,45 +67,36 @@ def _state_labels(states, n: int) -> tuple[str, ...]:
     return labels
 
 
-def stationary_measure(
-    transition,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = POWER_ITER_MAX,
-) -> np.ndarray:
+def stationary_measure(transition) -> np.ndarray:
     """Stationary probability vector of a row-stochastic matrix.
 
-    Power iteration started from the uniform vector; the iteration step
-    equals the invariance residual, so convergence below ``tol`` certifies
-    |mu P - mu| <= tol directly.  Raises on non-convergence (periodic
-    chains whose average is not reached) and on limits with (near-)zero
-    entries, which signal a reducible chain; supply the measure explicitly
-    in those cases.
+    Solves (P^T - I) mu = 0 with its last equation replaced by sum(mu) = 1.
+    The solution is unique exactly when the chain has one recurrent class,
+    periodic or not.  A singular system or a solution with a (near-)zero
+    entry signals a reducible chain and raises; supply the measure
+    explicitly in that case.  The result is accepted only if
+    |mu P - mu| <= 1e-10.
     """
     p = as_stochastic_matrix(transition, "transition")
     n = p.shape[0]
     if p.shape[1] != n:
         raise ValidationError(f"transition must be square, got {p.shape}")
-    mu = np.full(n, 1.0 / n)
-    gap = np.inf
-    for _ in range(max_iter):
-        nxt = mu @ p
-        gap = float(np.max(np.abs(nxt - mu)))
-        mu = nxt
-        if gap <= tol:
-            break
-    else:
-        raise ValidationError(
-            f"power iteration did not converge within {max_iter} steps "
-            f"(last step {gap:.3e}); the chain may be periodic"
-        )
+    reducible = (
+        "stationary measure is not unique or has a (near-)zero entry; the chain is "
+        "reducible, pass the intended measure explicitly"
+    )
+    system = p.T - np.eye(n)
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        mu = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        raise ValidationError(reducible) from None
     np.clip(mu, 0.0, None, out=mu)
     mu /= mu.sum()
-    if np.any(mu < 1e-12):
-        raise ValidationError(
-            "stationary measure has a (near-)zero entry; the chain is reducible, "
-            "pass the intended measure explicitly"
-        )
+    if not np.all(mu >= 1e-12):  # also false for the NaN of an all-zero solve
+        raise ValidationError(reducible)
     residual = float(np.max(np.abs(mu @ p - mu)))
     if residual > STATIONARY_TOL:
         raise ValidationError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}")
@@ -125,7 +115,9 @@ def make_markov(states, transition, stationary=None) -> StochasticSystem:
         Square row-stochastic matrix, rows summing to 1 within 1e-9.
     stationary:
         Probability vector with strictly positive entries, invariant under
-        the transition within 1e-9.  Computed by power iteration if omitted.
+        the transition within 1e-9.  If omitted, it is solved for directly
+        by ``stationary_measure``, which accepts any irreducible chain,
+        periodic ones included.
     """
     p = as_stochastic_matrix(transition, "transition")
     n = p.shape[0]

@@ -29,6 +29,12 @@ class TestPartitionOfUnity:
         part = el.PartitionOfUnity([[1.0 + 1e-13, -1e-13], [0.5, 0.5]])
         assert part.response[0, 1] == 0.0
 
+    def test_rows_normalized_exactly(self):
+        part = el.PartitionOfUnity([[0.5, 0.5 - 9e-10], [0.3, 0.7]])
+        assert np.max(np.abs(part.response.sum(axis=1) - 1.0)) <= 1e-15
+        # The accepted row-sum slack does not compound through products.
+        assert el.join(part, part).n_outcomes == 4
+
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValidationError):
             el.PartitionOfUnity([[0.5, 0.5]], labels=("only",))

@@ -6,7 +6,7 @@ import pytest
 import entropy_lab as el
 from entropy_lab import ValidationError
 
-from conftest import random_system
+from conftest import load_fixture, random_system
 
 
 class TestStationaryMeasure:
@@ -19,22 +19,29 @@ class TestStationaryMeasure:
         assert mu == pytest.approx([1 / 3] * 3, abs=1e-12)
 
     def test_period_two_swap_converges_from_uniform_start(self):
-        # The uniform vector is exactly invariant for the swap matrix, so
-        # power iteration converges immediately despite the period.
         mu = el.stationary_measure([[0.0, 1.0], [1.0, 0.0]])
         assert mu == pytest.approx([0.5, 0.5], abs=0.0)
 
-    def test_periodic_oscillation_raises(self):
-        # Bipartite chain whose classes carry unequal mass: the iteration
-        # bounces between two vectors forever.
-        with pytest.raises(ValidationError, match="did not converge"):
-            el.stationary_measure(
-                [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]], max_iter=20000
-            )
+    def test_periodic_bipartite_chain_is_accepted(self):
+        # Period 2 and classes of unequal mass: the measure is still unique.
+        mu = el.stationary_measure([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        assert mu == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+
+    def test_three_cycle_fixture_loads_without_stationary(self, three_cycle):
+        doc = {k: v for k, v in load_fixture("systems", "three_cycle.json").items()
+               if k != "stationary"}
+        system = el.parse_system(doc)
+        assert system.stationary == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert np.array_equal(system.transition, three_cycle.transition)
 
     def test_reducible_chain_raises(self):
         with pytest.raises(ValidationError, match="reducible"):
             el.stationary_measure([[1.0, 0.0], [0.5, 0.5]])
+
+    def test_two_closed_classes_raise(self):
+        # Every mixture of the two class measures is stationary.
+        with pytest.raises(ValidationError, match="reducible"):
+            el.stationary_measure(np.eye(2))
 
     def test_invariance_residual(self):
         rng = np.random.default_rng(1)
