@@ -90,7 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--units", choices=("nats", "bits"), default="nats")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--word-cap", type=int, default=DEFAULT_WORD_CAP)
-        p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+        p.add_argument(
+            "--dim-cap",
+            type=int,
+            default=DEFAULT_DIM_CAP,
+            help="largest matrix side diagonalized: n for mak, the smaller of "
+            "k^N words and positive state paths for afl",
+        )
 
     p = sub.add_parser("validate", help="parse and validate documents")
     common(p, partitions=True)

@@ -35,7 +35,6 @@ from .decompositions import (
 from .entropy import (
     as_prob_vector,
     eta,
-    relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -106,13 +105,16 @@ def mutual_information(mu, decomposition: Decomposition, f) -> float:
     row_entropies = np.sum(eta(outcome_rows), axis=1)
     weights = decomposition.weights
     difference_form = s_base - float(weights @ row_entropies)
-    relative_form = 0.0
-    for a in np.flatnonzero(weights > 0.0):
-        rel = relative_entropy(outcome_rows[a], base)
-        if math.isinf(rel):
-            relative_form = math.inf
-            break
-        relative_form += float(weights[a]) * rel
+    # Relative-entropy form over the positive-weight rows, with the 0 log 0 = 0
+    # rule; mass outside the support of the base makes it infinite.
+    present = weights > 0.0
+    rows = outcome_rows[present]
+    support = rows > 0.0
+    if np.any(support & (base == 0.0)):
+        relative_form = math.inf
+    else:
+        ratios = np.divide(rows, base, out=np.ones_like(rows), where=support)
+        relative_form = float(weights[present] @ np.sum(rows * np.log(ratios), axis=1))
     if abs(difference_form - relative_form) > MI_FORM_TOL:
         raise InequalityViolationError(
             "mutual information forms disagree: "
@@ -386,6 +388,65 @@ class EntropySequence:
         return self.values / np.arange(1, self.values.shape[0] + 1)
 
 
+def _mak_state_side(mu: np.ndarray, refined: RefinedPartition, dim_cap: int) -> np.ndarray:
+    """n x n Gram side S S^T of the mak state, S = sqrt(mu) sqrt(elements).
+
+    rho_mak = S^T S has the same nonzero spectrum, so both give one entropy.
+    """
+    n = refined.n_states
+    if n > dim_cap:
+        raise CapExceededError(f"Gram side would be {n} x {n}, cap is {dim_cap}")
+    side = np.sqrt(mu)[:, None] * np.sqrt(refined.elements)
+    gram = side @ side.T
+    return (gram + gram.T) / 2.0
+
+
+def _positive_path_count(system: StochasticSystem, depth: int) -> int:
+    """Number of state paths of length ``depth`` with positive probability."""
+    support = (system.transition > 0.0).astype(object)
+    ends = np.ones(system.n_states, dtype=object)
+    for _ in range(depth - 1):
+        ends = support @ ends
+    return int(ends[system.stationary > 0.0].sum())
+
+
+def _afl_path_side(system: StochasticSystem, f: PartitionOfUnity, depth: int) -> np.ndarray:
+    """Path side V V^T of the afl state rho_afl = V^T V.
+
+    V[p, w] = sqrt(w_p) prod_i sqrt(f_{w_i}(x_i)) over the positive paths p,
+    so G[p, q] = sqrt(w_p w_q) prod_i K[x_i, y_i] with K = sqrt(F) sqrt(F)^T,
+    and no path x word matrix is formed.
+    """
+    positive = system.transition > 0.0
+    paths = np.flatnonzero(system.stationary > 0.0)[:, None]
+    weights = system.stationary[paths[:, 0]]
+    for _ in range(depth - 1):
+        last = paths[:, -1]
+        rows, nxt = np.nonzero(positive[last])
+        paths = np.column_stack([paths[rows], nxt])
+        weights = weights[rows] * system.transition[last[rows], nxt]
+    roots = np.sqrt(f.response)
+    overlap = roots @ roots.T
+    overlap = (overlap + overlap.T) / 2.0
+    scale = np.sqrt(weights)
+    gram = scale[:, None] * scale[None, :]
+    for i in range(depth):
+        gram *= overlap[np.ix_(paths[:, i], paths[:, i])]
+    return gram
+
+
+def _afl_state_side(
+    system: StochasticSystem, f: PartitionOfUnity, depth: int, dim_cap: int
+) -> np.ndarray:
+    """Smaller Gram side of the afl state: positive paths, else words (ties)."""
+    paths = _positive_path_count(system, depth)
+    if paths < f.n_outcomes**depth:
+        if paths > dim_cap:
+            raise CapExceededError(f"path side would be {paths} x {paths}, cap is {dim_cap}")
+        return _afl_path_side(system, f, depth)
+    return rho_afl(system, f, depth, dim_cap=dim_cap)
+
+
 def _sequence_value(
     system: StochasticSystem,
     f: PartitionOfUnity,
@@ -400,9 +461,9 @@ def _sequence_value(
         )
     if kind is EntropyKind.MAK:
         refined = refine_afl(system, f, depth, word_cap=word_cap)
-        return von_neumann_entropy(rho_mak(system.stationary, refined, dim_cap=dim_cap))
+        return von_neumann_entropy(_mak_state_side(system.stationary, refined, dim_cap))
     if kind is EntropyKind.AFL:
-        return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=dim_cap))
+        return von_neumann_entropy(_afl_state_side(system, f, depth, dim_cap))
     if kind is EntropyKind.KOW:
         refined = refine_afl(system, f, depth, word_cap=word_cap)
         return shannon_entropy(distribution(system.stationary, refined))
@@ -419,6 +480,12 @@ def entropy_sequence(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> EntropySequence:
     """Entropy values of one kind for depths 1..n_max, stopping at caps.
+
+    ``mak`` and ``afl`` diagonalize the smaller side of a Gram factorization
+    of their state, which has the same nonzero spectrum: the n x n side for
+    ``mak``, and for ``afl`` the positive state paths when there are fewer
+    of them than the k^N words.  ``dim_cap`` bounds that diagonalized side;
+    ``word_cap`` bounds the refinements of ``hud``, ``mak`` and ``kow``.
 
     The word-distribution and operational-state kinds are nondecreasing in
     depth; a decrease beyond 1e-9 would mean an internal fault and raises.

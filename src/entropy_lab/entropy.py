@@ -109,7 +109,10 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
     square, finite and symmetric within 1e-12.  The result is accepted
     only if every eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral
     norm) and the eigenvalue sum matches the trace within 1e-9; otherwise a
-    ValidationError is raised rather than returning silent garbage.
+    ValidationError is raised rather than returning silent garbage.  A
+    matrix with no nonzero off-diagonal entry skips ``eigh``: its diagonal
+    entries with the unit vectors are exact eigenpairs, so only the trace
+    check applies.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -122,16 +125,19 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
             f"{name} is not symmetric: max |m - m^T| = {skew:.3e} > {SYMMETRY_TOL:.0e}"
         )
     sym = (arr + arr.T) / 2.0
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    residual = float(np.max(np.abs(sym @ vecs - vecs * vals)))
-    if residual > EIG_RESIDUAL_REL * scale:
-        raise ValidationError(
-            f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
-        )
+    if np.count_nonzero(sym) == np.count_nonzero(np.diagonal(sym)):
+        vals = np.sort(np.diagonal(sym))
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
+        scale = max(float(np.max(np.abs(vals))), 1e-300)
+        residual = float(np.max(np.abs(sym @ vecs - vecs * vals)))
+        if residual > EIG_RESIDUAL_REL * scale:
+            raise ValidationError(
+                f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
+            )
     trace_gap = abs(float(vals.sum()) - float(np.trace(sym)))
     if trace_gap > 1e-9 * max(1.0, abs(float(np.trace(sym)))):
         raise ValidationError(

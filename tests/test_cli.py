@@ -116,6 +116,25 @@ class TestRate:
         assert doc["sequence"]["truncated_at"] == 3
         assert len(doc["sequence"]["values"]) == 2
 
+    def test_mak_past_the_old_dim_cap_exits_0(self):
+        # Depth 12 has 4096 words; mak diagonalizes the 2 x 2 side.
+        code, doc, _ = run_json(
+            "rate", "--system", CHAIN, "--partition", BLUR,
+            "--kind", "mak", "--nmax", "12",
+        )
+        assert code == 0
+        assert doc["sequence"]["truncated_at"] is None
+        assert len(doc["sequence"]["values"]) == 12
+
+    def test_afl_on_the_dense_chain_still_truncates_at_depth_12(self):
+        code, doc, _ = run_json(
+            "rate", "--system", CHAIN, "--partition", BLUR,
+            "--kind", "afl", "--nmax", "12",
+        )
+        assert code == 3
+        assert doc["sequence"]["truncated_at"] == 12
+        assert len(doc["sequence"]["values"]) == 11
+
     def test_nmax_one_has_no_estimate(self):
         code, doc, _ = run_json(
             "rate", "--system", CHAIN, "--partition", EXTREMAL,

@@ -4,17 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entropy_lab as el
-from entropy_lab import CapExceededError, ValidationError
+from entropy_lab import CapExceededError, InequalityViolationError, ValidationError
 from entropy_lab.decompositions import Decomposition
-from entropy_lab.dynamical import _identification_decomposition, iter_set_partitions
+from entropy_lab.dynamical import (
+    DEFAULT_DIM_CAP,
+    _afl_path_side,
+    _identification_decomposition,
+    _mak_state_side,
+    _positive_path_count,
+    iter_set_partitions,
+)
 
 from conftest import random_partition, random_prob, random_system
 from oracles import (
     BELL_NUMBERS,
     conditional_information,
     gram_state,
+    iter_paths,
     markov_block_entropy,
     path_rho_afl,
 )
@@ -55,6 +65,22 @@ class TestMutualInformation:
             assert value <= el.shannon_entropy(dec.weights) + 1e-9
             base = el.distribution(mu, part)
             assert value <= el.shannon_entropy(base) + 1e-9
+
+
+    def test_mass_outside_base_support_raises(self):
+        # The component puts 1e-12 on a state mu gives no mass to: within the
+        # recombination tolerance, but the relative form is infinite.
+        mu = np.array([1.0, 0.0])
+        dec = Decomposition([1.0], [[1.0 - 1e-12, 1e-12]])
+        part = el.sharp_partition([[0], [1]], 2)
+        with pytest.raises(InequalityViolationError, match="forms disagree"):
+            el.mutual_information(mu, dec, part)
+
+    def test_zero_weight_component_is_ignored(self):
+        mu = np.array([1.0, 0.0])
+        dec = Decomposition([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        part = el.sharp_partition([[0], [1]], 2)
+        assert el.mutual_information(mu, dec, part) == 0.0
 
 
 class TestHudFunctional:
@@ -301,6 +327,113 @@ class TestEntropySequence:
         for kind in (el.EntropyKind.HUD, el.EntropyKind.MAK):
             seq = el.entropy_sequence(two_state_chain, coin_extremal, kind, 4)
             assert np.max(np.abs(seq.values - S_MU_CHAIN)) <= 1e-10
+
+
+    def test_path_side_reaches_past_the_word_cap(self):
+        # 2 states, 4 outcomes: 2^N positive paths against 4^N words, so a
+        # dim_cap of 32 stops the word side at depth 3 but not the path side.
+        rng = np.random.default_rng(401)
+        system = random_system(rng, 2)
+        part = random_partition(rng, 2, 4)
+        seq = el.entropy_sequence(system, part, el.EntropyKind.AFL, 5, dim_cap=32)
+        assert seq.truncated_at is None
+        for depth in range(1, 6):
+            full = el.von_neumann_entropy(el.rho_afl(system, part, depth))
+            assert abs(seq.values[depth - 1] - full) <= 1e-12
+        with pytest.raises(CapExceededError):
+            el.rho_afl(system, part, 3, dim_cap=32)
+
+    def test_dim_cap_bounds_the_diagonalized_side(self, two_state_chain, blur_partition):
+        # mak diagonalizes the 2 x 2 side; the dense chain's afl ties 2^N
+        # paths with 2^N words and keeps the word side.
+        mak = el.entropy_sequence(
+            two_state_chain, blur_partition, el.EntropyKind.MAK, 4, dim_cap=2
+        )
+        afl = el.entropy_sequence(
+            two_state_chain, blur_partition, el.EntropyKind.AFL, 4, dim_cap=4
+        )
+        assert mak.truncated_at is None
+        assert afl.truncated_at == 3
+        assert el.entropy_sequence(
+            two_state_chain, blur_partition, el.EntropyKind.MAK, 1, dim_cap=1
+        ).truncated_at == 1
+
+
+@st.composite
+def gram_cases(draw):
+    """A system, partition and depth covering the edge cases of the Gram sides.
+
+    Dynamics: dense, sparse irreducible, deterministic periodic, or a dense
+    chain with one state of tiny stationary mass.  Partitions: unsharp,
+    sharp or totally mixing, with k up to 5 so k > n occurs.  Depth keeps
+    the word side at most 128 wide.
+    """
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 5))
+    depth = draw(st.integers(1, max(d for d in range(1, 5) if k**d <= 128)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dynamics = draw(st.sampled_from(("dense", "sparse", "periodic", "tiny_mass")))
+    if dynamics == "periodic":
+        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
+    else:
+        transition = rng.dirichlet(np.ones(n), size=n)
+        if dynamics == "sparse":
+            keep = (rng.random((n, n)) < 0.5) | (np.roll(np.eye(n), 1, axis=1) > 0)
+            transition = np.where(keep, transition + 0.05, 0.0)
+        elif dynamics == "tiny_mass":
+            transition[1:, 0] = draw(st.floats(1e-9, 1e-6))
+        system = el.make_markov(n, transition / transition.sum(axis=1, keepdims=True))
+    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
+    if kind == "unsharp":
+        part = random_partition(rng, n, k)
+    elif kind == "sharp":
+        part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
+    else:
+        part = el.uniform_unsharp(n, k)
+    return system, part, depth
+
+
+class TestGramSides:
+    @settings(max_examples=80, deadline=None)
+    @given(gram_cases())
+    def test_mak_state_side_matches_rho_mak(self, case):
+        system, part, depth = case
+        refined = el.refine_afl(system, part, depth)
+        side = _mak_state_side(system.stationary, refined, DEFAULT_DIM_CAP)
+        assert side.shape == (system.n_states, system.n_states)
+        full = el.von_neumann_entropy(el.rho_mak(system.stationary, refined))
+        assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
+        seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
+        assert abs(seq.values[-1] - full) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(gram_cases())
+    def test_afl_path_side_matches_rho_afl(self, case):
+        system, part, depth = case
+        side = _afl_path_side(system, part, depth)
+        paths = list(iter_paths(system.transition, system.stationary, depth))
+        assert side.shape[0] == len(paths) == _positive_path_count(system, depth)
+        full = el.von_neumann_entropy(el.rho_afl(system, part, depth))
+        assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
+        seq = el.entropy_sequence(system, part, el.EntropyKind.AFL, depth)
+        assert abs(seq.values[-1] - full) <= 1e-12
+
+    def test_path_side_is_exactly_symmetric_with_path_weights_on_the_diagonal(self):
+        rng = np.random.default_rng(409)
+        system = random_system(rng, 3)
+        part = random_partition(rng, 3, 2)
+        side = _afl_path_side(system, part, 3)
+        weights = [w for _, w in iter_paths(system.transition, system.stationary, 3)]
+        assert np.array_equal(side, side.T)
+        assert np.max(np.abs(np.diagonal(side) - weights)) <= 1e-15
+
+    def test_positive_path_count_of_a_periodic_chain(self, three_cycle):
+        for depth in (1, 5, 40):
+            assert _positive_path_count(three_cycle, depth) == 3
+
+    def test_positive_path_count_is_exact_past_int64(self):
+        system = el.make_bernoulli(np.full(4, 0.25))
+        assert _positive_path_count(system, 40) == 4**40
 
 
 class TestRateEstimate:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import entropy_lab as el
 
-from conftest import random_density, random_partition, random_prob, random_system
+from conftest import (
+    fixture_path,
+    random_density,
+    random_partition,
+    random_prob,
+    random_system,
+)
 
 
 def mix_densities(weights, rhos):
@@ -171,6 +177,49 @@ class TestSharpDominance:
                     )
                 )
                 assert afl <= kow_sharp + 1e-9
+
+
+class TestPastTheOldDimCap:
+    """Depths whose k^N x k^N state the default dim_cap of 2048 forbids."""
+
+    def _sequences(self, system, part, n_max):
+        return {
+            kind: el.entropy_sequence(system, part, kind, n_max) for kind in el.EntropyKind
+        }
+
+    def _check_chain(self, seqs, depths):
+        values = {kind: seq.values for kind, seq in seqs.items()}
+        for i in range(depths):
+            if i < values[el.EntropyKind.MAK].shape[0]:
+                assert values[el.EntropyKind.HUD][i] <= values[el.EntropyKind.MAK][i] + 1e-9
+            if i < values[el.EntropyKind.AFL].shape[0]:
+                assert values[el.EntropyKind.HUD][i] <= values[el.EntropyKind.AFL][i] + 1e-9
+                assert values[el.EntropyKind.AFL][i] <= values[el.EntropyKind.KOW][i] + 1e-9
+        for kind in (el.EntropyKind.AFL, el.EntropyKind.KOW):
+            assert np.all(np.diff(values[kind]) >= -1e-9)
+
+    def test_mak_on_the_two_state_chain_to_depth_14(self):
+        system = el.load_system(fixture_path("systems", "two_state_chain.json"))
+        part = el.load_partition(fixture_path("partitions", "two_state_blur.json"), system)
+        seqs = self._sequences(system, part, 14)
+        for kind in (el.EntropyKind.HUD, el.EntropyKind.MAK, el.EntropyKind.KOW):
+            assert seqs[kind].truncated_at is None
+        # The dense chain ties 2^N paths with 2^N words: afl keeps the capped word side.
+        assert seqs[el.EntropyKind.AFL].truncated_at == 12
+        self._check_chain(seqs, 14)
+        mak = seqs[el.EntropyKind.MAK].values
+        assert np.all(mak[11:] <= math.log(2) + 1e-12)
+
+    def test_unsharp_afl_on_the_three_cycle_to_depth_16(self):
+        system = el.load_system(fixture_path("systems", "three_cycle.json"))
+        part = el.PartitionOfUnity([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]])
+        seqs = self._sequences(system, part, 16)
+        for seq in seqs.values():
+            assert seq.truncated_at is None
+            assert seq.n_max == 16
+        self._check_chain(seqs, 16)
+        # Three paths: afl is bounded by log 3 at every depth.
+        assert np.all(seqs[el.EntropyKind.AFL].values <= math.log(3) + 1e-12)
 
 
 class TestMonotonicityInDepth:
