@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--dim-cap",
             type=int,
             default=DEFAULT_DIM_CAP,
-            help="largest matrix side diagonalized: n for mak, the smaller of "
-            "k^N words and positive state paths for afl",
+            help="largest matrix side diagonalized: n for mak, k^N for afl",
         )
 
     p = sub.add_parser("validate", help="parse and validate documents")

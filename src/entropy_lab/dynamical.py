@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .decompositions import (
 from .entropy import (
     as_prob_vector,
     eta,
+    relative_entropy_rows,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -105,16 +105,10 @@ def mutual_information(mu, decomposition: Decomposition, f) -> float:
     row_entropies = np.sum(eta(outcome_rows), axis=1)
     weights = decomposition.weights
     difference_form = s_base - float(weights @ row_entropies)
-    # Relative-entropy form over the positive-weight rows, with the 0 log 0 = 0
-    # rule; mass outside the support of the base makes it infinite.
     present = weights > 0.0
-    rows = outcome_rows[present]
-    support = rows > 0.0
-    if np.any(support & (base == 0.0)):
-        relative_form = math.inf
-    else:
-        ratios = np.divide(rows, base, out=np.ones_like(rows), where=support)
-        relative_form = float(weights[present] @ np.sum(rows * np.log(ratios), axis=1))
+    relative_form = float(
+        weights[present] @ relative_entropy_rows(outcome_rows[present], base)
+    )
     if abs(difference_form - relative_form) > MI_FORM_TOL:
         raise InequalityViolationError(
             "mutual information forms disagree: "
@@ -401,52 +395,6 @@ def _mak_state_side(mu: np.ndarray, refined: RefinedPartition, dim_cap: int) -> 
     return (gram + gram.T) / 2.0
 
 
-def _positive_path_count(system: StochasticSystem, depth: int) -> int:
-    """Number of state paths of length ``depth`` with positive probability."""
-    support = (system.transition > 0.0).astype(object)
-    ends = np.ones(system.n_states, dtype=object)
-    for _ in range(depth - 1):
-        ends = support @ ends
-    return int(ends[system.stationary > 0.0].sum())
-
-
-def _afl_path_side(system: StochasticSystem, f: PartitionOfUnity, depth: int) -> np.ndarray:
-    """Path side V V^T of the afl state rho_afl = V^T V.
-
-    V[p, w] = sqrt(w_p) prod_i sqrt(f_{w_i}(x_i)) over the positive paths p,
-    so G[p, q] = sqrt(w_p w_q) prod_i K[x_i, y_i] with K = sqrt(F) sqrt(F)^T,
-    and no path x word matrix is formed.
-    """
-    positive = system.transition > 0.0
-    paths = np.flatnonzero(system.stationary > 0.0)[:, None]
-    weights = system.stationary[paths[:, 0]]
-    for _ in range(depth - 1):
-        last = paths[:, -1]
-        rows, nxt = np.nonzero(positive[last])
-        paths = np.column_stack([paths[rows], nxt])
-        weights = weights[rows] * system.transition[last[rows], nxt]
-    roots = np.sqrt(f.response)
-    overlap = roots @ roots.T
-    overlap = (overlap + overlap.T) / 2.0
-    scale = np.sqrt(weights)
-    gram = scale[:, None] * scale[None, :]
-    for i in range(depth):
-        gram *= overlap[np.ix_(paths[:, i], paths[:, i])]
-    return gram
-
-
-def _afl_state_side(
-    system: StochasticSystem, f: PartitionOfUnity, depth: int, dim_cap: int
-) -> np.ndarray:
-    """Smaller Gram side of the afl state: positive paths, else words (ties)."""
-    paths = _positive_path_count(system, depth)
-    if paths < f.n_outcomes**depth:
-        if paths > dim_cap:
-            raise CapExceededError(f"path side would be {paths} x {paths}, cap is {dim_cap}")
-        return _afl_path_side(system, f, depth)
-    return rho_afl(system, f, depth, dim_cap=dim_cap)
-
-
 def _sequence_value(
     system: StochasticSystem,
     f: PartitionOfUnity,
@@ -463,7 +411,7 @@ def _sequence_value(
         refined = refine_afl(system, f, depth, word_cap=word_cap)
         return von_neumann_entropy(_mak_state_side(system.stationary, refined, dim_cap))
     if kind is EntropyKind.AFL:
-        return von_neumann_entropy(_afl_state_side(system, f, depth, dim_cap))
+        return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=dim_cap))
     if kind is EntropyKind.KOW:
         refined = refine_afl(system, f, depth, word_cap=word_cap)
         return shannon_entropy(distribution(system.stationary, refined))
@@ -481,11 +429,11 @@ def entropy_sequence(
 ) -> EntropySequence:
     """Entropy values of one kind for depths 1..n_max, stopping at caps.
 
-    ``mak`` and ``afl`` diagonalize the smaller side of a Gram factorization
-    of their state, which has the same nonzero spectrum: the n x n side for
-    ``mak``, and for ``afl`` the positive state paths when there are fewer
-    of them than the k^N words.  ``dim_cap`` bounds that diagonalized side;
-    ``word_cap`` bounds the refinements of ``hud``, ``mak`` and ``kow``.
+    ``mak`` diagonalizes the n x n side of a Gram factorization of its
+    state, which has the same nonzero spectrum; ``afl`` diagonalizes its
+    k^N x k^N state.  ``dim_cap`` bounds the diagonalized side: n for
+    ``mak``, k^N for ``afl``.  ``word_cap`` bounds the refinements of
+    ``hud``, ``mak`` and ``kow``.
 
     The word-distribution and operational-state kinds are nondecreasing in
     depth; a decrease beyond 1e-9 would mean an internal fault and raises.

