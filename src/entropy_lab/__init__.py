@@ -17,7 +17,6 @@ from ._errors import (
 )
 from .decompositions import (
     Decomposition,
-    MultiDecomposition,
     entropy_defect,
     extremal_decompositions,
     from_densities,

@@ -448,24 +448,24 @@ _COMMANDS = {
 }
 
 
+_ERROR_EXITS = {
+    _UsageError: EXIT_USAGE,
+    DocumentError: EXIT_USAGE,
+    ValidationError: EXIT_VALIDATION,
+    CapExceededError: EXIT_CAP,
+    InequalityViolationError: EXIT_INEQUALITY,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         threads = _threads_from_env()
         report, code = _COMMANDS[args.command](args, threads)
-    except (_UsageError, DocumentError) as exc:
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InequalityViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INEQUALITY
+        return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
     text = report.render(args.format)
     if args.out:
         with open(args.out, "w") as handle:

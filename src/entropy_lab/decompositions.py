@@ -1,8 +1,10 @@
 """Convex decompositions of a probability measure.
 
 A decomposition writes mu as sum_a weights[a] * components[a], each
-component itself a probability vector.  Multi-index decompositions carry a
-product index; their marginals are ordinary decompositions and the entropy
+component itself a probability vector.  The component index may be a
+product of finite index sets: the optional ``index_sizes`` field records
+that shape and defaults to one index over all components.  The marginals of
+a multi-index decomposition are one-index decompositions, and the entropy
 defect measures how far the weight tensor is from a product of its
 marginals.
 
@@ -14,12 +16,13 @@ them would force divisions by ~0 when normalizing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import CapExceededError, ValidationError
-from .entropy import SUM_TOL, as_prob_vector, as_stochastic_matrix, shannon_entropy
+from .entropy import SUM_TOL, as_prob_vector, as_stochastic_matrix, eta
 
 PRUNE_TOL = 1e-15
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -28,7 +31,6 @@ __all__ = [
     "PRUNE_TOL",
     "DEFAULT_ENUMERATION_CAP",
     "Decomposition",
-    "MultiDecomposition",
     "trivial_decomposition",
     "from_densities",
     "to_densities",
@@ -40,10 +42,16 @@ __all__ = [
 
 @dataclass(eq=False)
 class Decomposition:
-    """Weights and component measures of a finite convex decomposition."""
+    """Weights and component measures of a finite convex decomposition.
+
+    ``index_sizes`` shapes the component index as a product of index sets,
+    flat in C order (last index fastest); it defaults to
+    ``(n_components,)``, a one-index decomposition.
+    """
 
     weights: np.ndarray
     components: np.ndarray
+    index_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         w = as_prob_vector(self.weights, "weights")
@@ -52,10 +60,18 @@ class Decomposition:
             raise ValidationError(
                 f"components must be ({w.shape[0]}, n_states), got {c.shape}"
             )
+        sizes = (w.shape[0],) if self.index_sizes is None else tuple(map(int, self.index_sizes))
+        if not sizes or any(s < 1 for s in sizes):
+            raise ValidationError(f"index sizes must be positive, got {sizes}")
+        if math.prod(sizes) != w.shape[0]:
+            raise ValidationError(
+                f"index sizes {sizes} need {math.prod(sizes)} weights, got {w.shape[0]}"
+            )
         w.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", c)
+        object.__setattr__(self, "index_sizes", sizes)
 
     @property
     def n_components(self) -> int:
@@ -64,6 +80,10 @@ class Decomposition:
     @property
     def n_states(self) -> int:
         return self.components.shape[1]
+
+    @property
+    def arity(self) -> int:
+        return len(self.index_sizes)
 
     def mixture(self) -> np.ndarray:
         """The recombined measure sum_a weights[a] * components[a]."""
@@ -81,54 +101,12 @@ class Decomposition:
             )
 
 
-@dataclass(eq=False)
-class MultiDecomposition:
-    """Decomposition indexed by a product of finite index sets.
-
-    ``weights`` and ``components`` are flat over the product index in
-    C order (last index fastest), with ``index_sizes`` recording the shape.
-    """
-
-    index_sizes: tuple[int, ...]
-    weights: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.index_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValidationError(f"index sizes must be positive, got {sizes}")
-        total = int(np.prod(sizes))
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (total,):
-            raise ValidationError(f"weights must have shape ({total},), got {w.shape}")
-        flat = Decomposition(w, self.components)
-        object.__setattr__(self, "index_sizes", sizes)
-        object.__setattr__(self, "weights", flat.weights)
-        object.__setattr__(self, "components", flat.components)
-        object.__setattr__(self, "_flat", flat)
-
-    @property
-    def arity(self) -> int:
-        return len(self.index_sizes)
-
-    @property
-    def n_states(self) -> int:
-        return self.components.shape[1]
-
-    def as_decomposition(self) -> Decomposition:
-        """The flat decomposition over the product index, checked at construction."""
-        return self._flat
-
-    def mixture(self) -> np.ndarray:
-        return self.weights @ self.components
-
-
-def trivial_decomposition(mu, arity: int = 1) -> MultiDecomposition:
+def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
     """Single-component decomposition mu = 1 * mu with all index sizes 1."""
     if arity < 1:
         raise ValidationError("arity must be >= 1")
     muv = as_prob_vector(mu, "mu")
-    return MultiDecomposition((1,) * arity, np.ones(1), muv[None, :])
+    return Decomposition(np.ones(1), muv[None, :], (1,) * arity)
 
 
 def from_densities(mu, f) -> Decomposition:
@@ -170,7 +148,7 @@ def to_densities(decomposition: Decomposition, mu):
     return PartitionOfUnity(response)
 
 
-def multi_marginal(decomposition: MultiDecomposition, axis: int) -> Decomposition:
+def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
     """Marginal decomposition along one index axis (0-based).
 
     Marginal weights sum the weight tensor over all other axes; marginal
@@ -196,21 +174,21 @@ def multi_marginal(decomposition: MultiDecomposition, axis: int) -> Decompositio
     return Decomposition(marg_w / marg_w.sum(), components)
 
 
-def entropy_defect(decomposition: MultiDecomposition) -> float:
+def entropy_defect(decomposition: Decomposition) -> float:
     """Shannon entropy gap sum_n S(marginal weights) - S(joint weights).
 
     Zero exactly when the weight tensor is a product measure; the joint
     entropy never exceeds the sum of its marginals, so the defect is >= 0
-    up to floating point noise.
+    up to floating point noise.  The weights were checked at construction,
+    so the entropies sum eta directly.
     """
     sizes = decomposition.index_sizes
     w = decomposition.weights.reshape(sizes)
     total = 0.0
     for axis in range(len(sizes)):
         other = tuple(i for i in range(len(sizes)) if i != axis)
-        marg = w.sum(axis=other) if other else w
-        total += shannon_entropy(np.ravel(marg))
-    return total - shannon_entropy(decomposition.weights)
+        total += float(np.sum(eta(w.sum(axis=other))))
+    return total - float(np.sum(eta(decomposition.weights)))
 
 
 def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATION_CAP):

@@ -122,7 +122,7 @@ def parse_partition(obj: dict, system: StochasticSystem) -> PartitionOfUnity:
         if not isinstance(k, int) or isinstance(k, bool):
             raise DocumentError("'uniform' must be an integer outcome count")
         part = uniform_unsharp(system.n_states, k)
-        return PartitionOfUnity(part.response, labels) if labels else part
+        return part if labels is None else PartitionOfUnity(part.response, labels)
     if mode == "cells":
         cells = obj["cells"]
         if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):

@@ -25,7 +25,6 @@ from ._errors import CapExceededError, InequalityViolationError, ValidationError
 from .decompositions import (
     DEFAULT_ENUMERATION_CAP,
     Decomposition,
-    MultiDecomposition,
     entropy_defect,
     extremal_decompositions,
     multi_marginal,
@@ -80,12 +79,17 @@ class EntropyKind(enum.Enum):
     KOW = "kow"
 
 
-def _response_of(f) -> np.ndarray:
+def _response_of(f, n_states: int) -> np.ndarray:
+    """Response matrix of a partition or refinement over n_states states."""
     if isinstance(f, RefinedPartition):
-        return f.elements
-    if isinstance(f, PartitionOfUnity):
-        return f.response
-    raise ValidationError(f"expected a partition, got {type(f).__name__}")
+        matrix = f.elements
+    elif isinstance(f, PartitionOfUnity):
+        matrix = f.response
+    else:
+        raise ValidationError(f"expected a partition, got {type(f).__name__}")
+    if matrix.shape[0] != n_states:
+        raise ValidationError("measure and partition sizes differ")
+    return matrix
 
 
 def mutual_information(mu, decomposition: Decomposition, f) -> float:
@@ -96,11 +100,15 @@ def mutual_information(mu, decomposition: Decomposition, f) -> float:
     weighted relative entropy sum_a w_a S(mu_a o f | mu o f).  Disagreement
     signals an inconsistent decomposition and raises.
     """
-    matrix = _response_of(f)
     muv = as_prob_vector(mu, "mu")
     decomposition.check_recombines(muv)
-    base = distribution(muv, f)
-    s_base = shannon_entropy(base)
+    return _information(muv, decomposition, _response_of(f, muv.shape[0]))
+
+
+def _information(muv: np.ndarray, decomposition: Decomposition, matrix: np.ndarray) -> float:
+    """Both ``mutual_information`` forms, cross-checked, on inputs the caller checked."""
+    base = muv @ matrix
+    s_base = float(np.sum(eta(base)))
     outcome_rows = decomposition.components @ matrix
     row_entropies = np.sum(eta(outcome_rows), axis=1)
     weights = decomposition.weights
@@ -124,16 +132,14 @@ def hud_functional(mu, f) -> float:
     entropy of the point outcome rows against the mean row, so it is
     non-negative and bounded by S(mu).
     """
-    matrix = _response_of(f)
     muv = as_prob_vector(mu, "mu")
-    if muv.shape[0] != matrix.shape[0]:
-        raise ValidationError("measure and partition sizes differ")
+    matrix = _response_of(f, muv.shape[0])
     base = distribution(muv, f)
     point_entropies = np.sum(eta(matrix), axis=1)
     return shannon_entropy(base) - float(muv @ point_entropies)
 
 
-def cnt_functional(mu, decomposition: MultiDecomposition, partitions) -> float:
+def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     """Decomposition functional: marginal information minus entropy defect.
 
     sum_n I(marginal_n; partitions[n]) - (sum_n S(marginal weights) - S(weights)).
@@ -146,10 +152,11 @@ def cnt_functional(mu, decomposition: MultiDecomposition, partitions) -> float:
             f"{len(parts)} partitions for a {decomposition.arity}-index decomposition"
         )
     muv = as_prob_vector(mu, "mu")
-    decomposition.as_decomposition().check_recombines(muv)
+    decomposition.check_recombines(muv)
+    matrices = [_response_of(part, muv.shape[0]) for part in parts]
     total = 0.0
-    for axis, part in enumerate(parts):
-        total += mutual_information(muv, multi_marginal(decomposition, axis), part)
+    for axis, matrix in enumerate(matrices):
+        total += _information(muv, multi_marginal(decomposition, axis), matrix)
     return total - entropy_defect(decomposition)
 
 
@@ -164,9 +171,10 @@ def cnt_onetime(mu, f, *, brute_force: bool = False, cap: int = DEFAULT_ENUMERAT
     closed = hud_functional(mu, f)
     if brute_force:
         muv = as_prob_vector(mu, "mu")
+        matrix = _response_of(f, muv.shape[0])
         best = 0.0
         for _, dec in extremal_decompositions(muv, muv.shape[0], cap=cap):
-            best = max(best, mutual_information(muv, dec, f))
+            best = max(best, _information(muv, dec, matrix))
         if abs(best - closed) > MI_FORM_TOL:
             raise InequalityViolationError(
                 f"extremal maximum {best!r} does not meet the closed form {closed!r}"
@@ -179,7 +187,7 @@ class CntSearchResult:
     """Outcome of a decomposition search for the two-time functional."""
 
     best_value: float
-    witness: MultiDecomposition
+    witness: Decomposition
     witness_label: str
     negative_identifications: int
     identifications: int
@@ -190,7 +198,7 @@ class CntSearchResult:
         return 1 + self.identifications + self.random_trials
 
 
-def _identification_decomposition(mu, assignments, sizes) -> MultiDecomposition:
+def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
     """Multi-index decomposition from one outcome map per time index.
 
     The joint weight of a multi-index is the mass of the intersection of
@@ -208,7 +216,7 @@ def _identification_decomposition(mu, assignments, sizes) -> MultiDecomposition:
     for c in occupied:
         restriction = np.where(flat == c, mu, 0.0)
         components[c] = restriction / weights[c]
-    return MultiDecomposition(tuple(sizes), weights / weights.sum(), components)
+    return Decomposition(weights / weights.sum(), components, sizes)
 
 
 def cnt_search(
@@ -248,8 +256,8 @@ def cnt_search(
     n = system.n_states
     sizes = (n,) * times
 
-    best_value = cnt_functional(mu, trivial_decomposition(mu, times), parts)
     best_witness = trivial_decomposition(mu, times)
+    best_value = cnt_functional(mu, best_witness, parts)
     best_label = "trivial"
 
     map_count = n ** (n * times)
@@ -275,7 +283,7 @@ def cnt_search(
         response = rng.dirichlet(np.ones(total), size=n)
         weights = mu @ response
         components = (mu[None, :] * response.T) / weights[:, None]
-        dec = MultiDecomposition(sizes, weights / weights.sum(), components)
+        dec = Decomposition(weights / weights.sum(), components, sizes)
         value = cnt_functional(mu, dec, parts)
         if value > best_value:
             best_value, best_witness, best_label = value, dec, f"random:{trial}"
@@ -296,10 +304,8 @@ def rho_mak(mu, f, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     rho[k, l] = sum_x mu_x sqrt(f_k(x) f_l(x)): positive semidefinite with
     unit trace, diagonal equal to the outcome distribution.
     """
-    matrix = _response_of(f)
     muv = as_prob_vector(mu, "mu")
-    if muv.shape[0] != matrix.shape[0]:
-        raise ValidationError("measure and partition sizes differ")
+    matrix = _response_of(f, muv.shape[0])
     k = matrix.shape[1]
     if k > dim_cap:
         raise CapExceededError(f"Gram matrix would be {k} x {k}, cap is {dim_cap}")

@@ -5,7 +5,7 @@ import pytest
 
 import entropy_lab as el
 from entropy_lab import CapExceededError, ValidationError
-from entropy_lab.decompositions import Decomposition, MultiDecomposition
+from entropy_lab.decompositions import Decomposition
 
 from conftest import random_partition, random_prob
 
@@ -83,15 +83,27 @@ class TestDensities:
 
 class TestMultiDecomposition:
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            MultiDecomposition((2, 2), [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="need 4 weights"):
+            Decomposition([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], (2, 2))
+
+    def test_default_index_is_one_axis(self):
+        dec = Decomposition([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+        assert dec.index_sizes == (2,)
+        assert dec.arity == 1
+
+    @pytest.mark.parametrize("sizes", [(), (2, 0), (-2, -2)])
+    def test_rejects_non_positive_index_sizes(self, sizes):
+        weights = np.full(4, 0.25)
+        comps = np.tile([0.5, 0.5], (4, 1))
+        with pytest.raises(ValidationError, match="positive"):
+            Decomposition(weights, comps, sizes)
 
     def test_marginal_of_product_weights(self):
         a = np.array([0.3, 0.7])
         b = np.array([0.6, 0.4])
         weights = np.outer(a, b).ravel()
         comps = np.tile([0.5, 0.5], (4, 1))
-        dec = MultiDecomposition((2, 2), weights, comps)
+        dec = Decomposition(weights, comps, (2, 2))
         m0 = el.multi_marginal(dec, 0)
         m1 = el.multi_marginal(dec, 1)
         assert m0.weights == pytest.approx(a, abs=1e-15)
@@ -103,7 +115,7 @@ class TestMultiDecomposition:
         comps = np.array(
             [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]
         )
-        dec = MultiDecomposition((2, 2), weights, comps)
+        dec = Decomposition(weights, comps, (2, 2))
         m0 = el.multi_marginal(dec, 0)
         assert m0.components[0] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert m0.components[1] == pytest.approx([0.375, 0.625], abs=1e-15)
@@ -117,7 +129,7 @@ class TestMultiDecomposition:
         # Perfectly correlated indices: defect = S(joint marginal pair).
         weights = np.array([0.5, 0.0, 0.0, 0.5])
         comps = np.tile([1.0], (4, 1))
-        dec = MultiDecomposition((2, 2), weights, comps)
+        dec = Decomposition(weights, comps, (2, 2))
         assert el.entropy_defect(dec) == pytest.approx(
             el.shannon_entropy([0.5, 0.5]), abs=1e-12
         )
@@ -127,7 +139,7 @@ class TestMultiDecomposition:
         for _ in range(50):
             weights = random_prob(rng, 6)
             comps = rng.dirichlet(np.ones(3), size=6)
-            dec = MultiDecomposition((2, 3), weights, comps)
+            dec = Decomposition(weights, comps, (2, 3))
             assert el.entropy_defect(dec) >= -1e-12
 
 

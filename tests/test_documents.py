@@ -146,6 +146,11 @@ class TestParsePartition:
         with pytest.raises(ValidationError):
             parse_partition(doc, two_state_chain)
 
+    def test_empty_label_list_rejected(self, two_state_chain):
+        doc = {"uniform": 2, "labels": []}
+        with pytest.raises(ValidationError, match="0 outcome labels for 2 outcomes"):
+            parse_partition(doc, two_state_chain)
+
 
 class TestRoundTrips:
     def test_system_document_round_trip_is_exact(self, two_state_chain):

@@ -134,10 +134,58 @@ class TestCntFunctional:
     def test_single_time_reduces_to_mutual_information(self, two_state_chain, blur_partition):
         mu = two_state_chain.stationary
         dec = el.from_densities(mu, blur_partition)
-        multi = el.MultiDecomposition((dec.n_components,), dec.weights, dec.components)
-        assert el.cnt_functional(mu, multi, [blur_partition]) == pytest.approx(
+        assert el.cnt_functional(mu, dec, [blur_partition]) == pytest.approx(
             el.mutual_information(mu, dec, blur_partition), abs=1e-12
         )
+
+
+@st.composite
+def cnt_cases(draw):
+    """A measure, a decomposition of it and one partition per index.
+
+    Decompositions: one-index and two-index random density decompositions,
+    and two-time identification decompositions whose non-surjective maps
+    leave zero-weight indices.  Partitions: unsharp, sharp or totally
+    mixing, drawn independently per index.
+    """
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    mu = random_prob(rng, n)
+    family = draw(st.sampled_from(("one_index", "two_index", "identification")))
+    if family == "identification":
+        maps = tuple(tuple(rng.integers(0, n, size=n).tolist()) for _ in range(2))
+        dec = _identification_decomposition(mu, maps, (n, n))
+    else:
+        sizes = (int(rng.integers(1, 5)),)
+        if family == "two_index":
+            sizes = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        response = rng.dirichlet(np.ones(math.prod(sizes)), size=n)
+        weights = mu @ response
+        components = (mu[None, :] * response.T) / weights[:, None]
+        dec = Decomposition(weights / weights.sum(), components, sizes)
+    parts = []
+    for _ in range(dec.arity):
+        k = int(rng.integers(2, 4))
+        kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
+        if kind == "unsharp":
+            parts.append(random_partition(rng, n, k))
+        elif kind == "sharp":
+            parts.append(el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)]))
+        else:
+            parts.append(el.uniform_unsharp(n, k))
+    return mu, dec, parts
+
+
+class TestCntDecomposition:
+    @settings(max_examples=120, deadline=None)
+    @given(cnt_cases())
+    def test_equals_marginal_information_minus_defect(self, case):
+        mu, dec, parts = case
+        expected = sum(
+            el.mutual_information(mu, el.multi_marginal(dec, axis), parts[axis])
+            for axis in range(dec.arity)
+        ) - el.entropy_defect(dec)
+        assert el.cnt_functional(mu, dec, parts) == expected
 
 
 class TestCntOnetime:
