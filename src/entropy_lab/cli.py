@@ -23,7 +23,7 @@ from ._errors import (
     ValidationError,
 )
 from .decompositions import DEFAULT_ENUMERATION_CAP
-from .documents import load_json, parse_partition, parse_system, system_to_document
+from .documents import load_partition, load_system, system_to_document
 from .dynamical import (
     DEFAULT_DIM_CAP,
     EntropyKind,
@@ -66,7 +66,7 @@ def _threads_from_env() -> int:
     try:
         threads = int(raw)
     except ValueError:
-        raise _UsageError(f"ENTROPY_LAB_THREADS must be a positive integer, got {raw!r}")
+        threads = 0
     if threads < 1:
         raise _UsageError(f"ENTROPY_LAB_THREADS must be a positive integer, got {raw!r}")
     return threads
@@ -134,16 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_system(args):
-    return parse_system(load_json(args.system))
-
-
 def _load_partitions(args, system, *, least: int, most: int):
     paths = list(args.partition)
     if not least <= len(paths) <= most:
         expected = str(least) if least == most else f"{least}..{most}"
         raise _UsageError(f"{args.command} takes {expected} --partition arguments")
-    return [parse_partition(load_json(p), system) for p in paths]
+    return [load_partition(p, system) for p in paths]
 
 
 def _config_doc(args, threads: int) -> dict:
@@ -193,7 +189,7 @@ def _estimate_doc(est, units) -> dict:
 
 
 def cmd_validate(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     parts = _load_partitions(args, system, least=0, most=8)
     doc = {
         "command": "validate",
@@ -210,7 +206,7 @@ def cmd_validate(args, threads):
 
 
 def cmd_rate(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     kind = EntropyKind(args.kind)
     seq = entropy_sequence(
@@ -280,7 +276,7 @@ def _all_sequences(args, system, part):
 
 
 def cmd_compare(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
     doc = {
@@ -302,7 +298,7 @@ def cmd_compare(args, threads):
 
 
 def cmd_cnt(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     parts = _load_partitions(args, system, least=1, most=2)
     result = cnt_search(
         system,
@@ -345,7 +341,7 @@ def cmd_cnt(args, threads):
 
 
 def cmd_sample(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     counts = sample_words(
         system, part, args.depth, args.samples, args.seed, word_cap=args.word_cap
@@ -386,7 +382,7 @@ def cmd_sample(args, threads):
 
 
 def cmd_sup(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     kind = EntropyKind(args.kind)
     result = sup_over_sharp(
         system,
@@ -414,7 +410,7 @@ def cmd_sup(args, threads):
 
 
 def cmd_report(args, threads):
-    system = _load_system(args)
+    system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
     doc = {

@@ -8,9 +8,11 @@ a multi-index decomposition are one-index decompositions, and the entropy
 defect measures how far the weight tensor is from a product of its
 marginals.
 
-Components whose weight falls below ``PRUNE_TOL`` are dropped everywhere:
-they contribute nothing to any entropy (eta is continuous at 0) and keeping
-them would force divisions by ~0 when normalizing.
+Every decomposition built from a response matrix g is the one g induces,
+weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``.
+Pruning is the policy of the one-index builders and the marginals: they drop
+indices of weight below ``PRUNE_TOL``, which add nothing to any entropy (eta
+is continuous at 0) and would force divisions by ~0 when normalizing.
 """
 
 from __future__ import annotations
@@ -89,16 +91,20 @@ class Decomposition:
         """The recombined measure sum_a weights[a] * components[a]."""
         return self.weights @ self.components
 
-    def check_recombines(self, mu, tol: float = SUM_TOL) -> None:
-        """Raise unless the decomposition reassembles mu within tol."""
+    def check_recombines(self, mu) -> np.ndarray:
+        """Return mu checked by ``as_prob_vector``, tiny negatives clamped to 0.
+
+        Raises unless the decomposition reassembles mu within SUM_TOL.
+        """
         target = as_prob_vector(mu, "mu")
         if target.shape[0] != self.n_states:
             raise ValidationError("measure dimension does not match components")
         gap = float(np.max(np.abs(self.mixture() - target)))
-        if gap > tol:
+        if gap > SUM_TOL:
             raise ValidationError(
-                f"decomposition recombines to the wrong measure: max gap {gap:.3e} > {tol:.0e}"
+                f"decomposition recombines to the wrong measure: max gap {gap:.3e} > {SUM_TOL:.0e}"
             )
+        return target
 
 
 def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
@@ -107,6 +113,29 @@ def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
         raise ValidationError("arity must be >= 1")
     muv = as_prob_vector(mu, "mu")
     return Decomposition(np.ones(1), muv[None, :], (1,) * arity)
+
+
+def _induced(muv: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights mu(g_a) and components mu * g_a / mu(g_a) that g induces.
+
+    g is a response matrix (states x indices) and muv a checked measure.
+    The weights are not normalized; an index of zero weight keeps muv as
+    its placeholder component.
+    """
+    weights = muv @ response
+    components = np.tile(muv, (weights.shape[0], 1))
+    occupied = weights > 0.0
+    components[occupied] = (muv[None, :] * response.T[occupied]) / weights[occupied, None]
+    return weights, components
+
+
+def _pruned(weights: np.ndarray, components: np.ndarray) -> Decomposition:
+    """One-index decomposition of the indices with weight above PRUNE_TOL."""
+    keep = np.flatnonzero(weights > PRUNE_TOL)
+    if keep.size == 0:
+        raise ValidationError("every outcome has zero mass under mu")
+    kept = weights[keep]
+    return Decomposition(kept / kept.sum(), components[keep])
 
 
 def from_densities(mu, f) -> Decomposition:
@@ -123,13 +152,7 @@ def from_densities(mu, f) -> Decomposition:
     muv = as_prob_vector(mu, "mu")
     if muv.shape[0] != f.n_states:
         raise ValidationError("measure and partition sizes differ")
-    weights = muv @ f.response
-    keep = np.flatnonzero(weights > PRUNE_TOL)
-    if keep.size == 0:
-        raise ValidationError("every outcome has zero mass under mu")
-    weights = weights[keep]
-    components = (muv[None, :] * f.response.T[keep]) / weights[:, None]
-    return Decomposition(weights / weights.sum(), components)
+    return _pruned(*_induced(muv, f.response))
 
 
 def to_densities(decomposition: Decomposition, mu):
@@ -140,12 +163,24 @@ def to_densities(decomposition: Decomposition, mu):
     """
     from .partitions import PartitionOfUnity
 
-    muv = as_prob_vector(mu, "mu")
+    muv = decomposition.check_recombines(mu)
     if np.any(muv <= 0.0):
         raise ValidationError("densities require a strictly positive measure")
-    decomposition.check_recombines(muv)
     response = (decomposition.weights[:, None] * decomposition.components / muv[None, :]).T
     return PartitionOfUnity(response)
+
+
+def _marginal(decomposition: Decomposition, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and components of ``multi_marginal`` for an axis in range."""
+    sizes, w = decomposition.index_sizes, decomposition.weights
+    wc = (w[:, None] * decomposition.components).reshape(*sizes, decomposition.n_states)
+    other = tuple(i for i in range(len(sizes)) if i != axis)
+    marg_w = w.reshape(sizes).sum(axis=other)
+    keep = np.flatnonzero(marg_w > PRUNE_TOL)
+    if keep.size == 0:
+        raise ValidationError("marginal lost all its mass")
+    marg_w = marg_w[keep]
+    return marg_w / marg_w.sum(), wc.sum(axis=other)[keep] / marg_w[:, None]
 
 
 def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
@@ -155,23 +190,9 @@ def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
     components are the weight-averaged components, renormalized.  Indices
     whose marginal weight falls below PRUNE_TOL are dropped.
     """
-    arity = decomposition.arity
-    if axis < 0 or axis >= arity:
-        raise ValidationError(f"axis {axis} outside range(0, {arity})")
-    sizes = decomposition.index_sizes
-    w = decomposition.weights.reshape(sizes)
-    wc = (decomposition.weights[:, None] * decomposition.components).reshape(
-        sizes + (decomposition.n_states,)
-    )
-    other = tuple(i for i in range(arity) if i != axis)
-    marg_w = w.sum(axis=other) if other else w.copy()
-    marg_wc = wc.sum(axis=other) if other else wc.copy()
-    keep = np.flatnonzero(marg_w > PRUNE_TOL)
-    if keep.size == 0:
-        raise ValidationError("marginal lost all its mass")
-    marg_w = marg_w[keep]
-    components = marg_wc[keep] / marg_w[:, None]
-    return Decomposition(marg_w / marg_w.sum(), components)
+    if not 0 <= axis < decomposition.arity:
+        raise ValidationError(f"axis {axis} outside range(0, {decomposition.arity})")
+    return Decomposition(*_marginal(decomposition, axis))
 
 
 def entropy_defect(decomposition: Decomposition) -> float:
@@ -209,10 +230,6 @@ def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATI
         raise CapExceededError(
             f"extremal enumeration would visit {total} maps, cap is {cap}"
         )
+    indicators = np.eye(n_outcomes)
     for assignment in itertools.product(range(n_outcomes), repeat=n):
-        idx = np.asarray(assignment)
-        weights = np.bincount(idx, weights=muv, minlength=n_outcomes)
-        keep = np.flatnonzero(weights > PRUNE_TOL)
-        components = np.where(idx[None, :] == keep[:, None], muv[None, :], 0.0)
-        components /= weights[keep, None]
-        yield assignment, Decomposition(weights[keep] / weights[keep].sum(), components)
+        yield assignment, _pruned(*_induced(muv, indicators[list(assignment)]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,10 @@ from ._errors import CapExceededError, InequalityViolationError, ValidationError
 from .decompositions import (
     DEFAULT_ENUMERATION_CAP,
     Decomposition,
+    _induced,
+    _marginal,
     entropy_defect,
     extremal_decompositions,
-    multi_marginal,
     trivial_decomposition,
 )
 from .entropy import (
@@ -41,7 +43,6 @@ from .partitions import (
     DEFAULT_WORD_CAP,
     PartitionOfUnity,
     RefinedPartition,
-    distribution,
     evolve,
     refine_afl,
     sharp_partition,
@@ -100,18 +101,19 @@ def mutual_information(mu, decomposition: Decomposition, f) -> float:
     weighted relative entropy sum_a w_a S(mu_a o f | mu o f).  Disagreement
     signals an inconsistent decomposition and raises.
     """
-    muv = as_prob_vector(mu, "mu")
-    decomposition.check_recombines(muv)
-    return _information(muv, decomposition, _response_of(f, muv.shape[0]))
+    muv = decomposition.check_recombines(mu)
+    matrix = _response_of(f, muv.shape[0])
+    return _information(muv, decomposition.weights, decomposition.components, matrix)
 
 
-def _information(muv: np.ndarray, decomposition: Decomposition, matrix: np.ndarray) -> float:
+def _information(
+    muv: np.ndarray, weights: np.ndarray, components: np.ndarray, matrix: np.ndarray
+) -> float:
     """Both ``mutual_information`` forms, cross-checked, on inputs the caller checked."""
     base = muv @ matrix
     s_base = float(np.sum(eta(base)))
-    outcome_rows = decomposition.components @ matrix
+    outcome_rows = components @ matrix
     row_entropies = np.sum(eta(outcome_rows), axis=1)
-    weights = decomposition.weights
     difference_form = s_base - float(weights @ row_entropies)
     present = weights > 0.0
     relative_form = float(
@@ -134,9 +136,8 @@ def hud_functional(mu, f) -> float:
     """
     muv = as_prob_vector(mu, "mu")
     matrix = _response_of(f, muv.shape[0])
-    base = distribution(muv, f)
     point_entropies = np.sum(eta(matrix), axis=1)
-    return shannon_entropy(base) - float(muv @ point_entropies)
+    return shannon_entropy(muv @ matrix) - float(muv @ point_entropies)
 
 
 def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
@@ -151,12 +152,11 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
         raise ValidationError(
             f"{len(parts)} partitions for a {decomposition.arity}-index decomposition"
         )
-    muv = as_prob_vector(mu, "mu")
-    decomposition.check_recombines(muv)
+    muv = decomposition.check_recombines(mu)
     matrices = [_response_of(part, muv.shape[0]) for part in parts]
     total = 0.0
     for axis, matrix in enumerate(matrices):
-        total += _information(muv, multi_marginal(decomposition, axis), matrix)
+        total += _information(muv, *_marginal(decomposition, axis), matrix)
     return total - entropy_defect(decomposition)
 
 
@@ -174,7 +174,7 @@ def cnt_onetime(mu, f, *, brute_force: bool = False, cap: int = DEFAULT_ENUMERAT
         matrix = _response_of(f, muv.shape[0])
         best = 0.0
         for _, dec in extremal_decompositions(muv, muv.shape[0], cap=cap):
-            best = max(best, _information(muv, dec, matrix))
+            best = max(best, _information(muv, dec.weights, dec.components, matrix))
         if abs(best - closed) > MI_FORM_TOL:
             raise InequalityViolationError(
                 f"extremal maximum {best!r} does not meet the closed form {closed!r}"
@@ -205,17 +205,8 @@ def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
     the level sets; components are normalized restrictions of mu.  Indices
     with zero mass keep weight 0 and carry mu as a placeholder component.
     """
-    n = mu.shape[0]
-    flat = np.zeros(n, dtype=int)
-    for a, size in zip(assignments, sizes):
-        flat = flat * size + np.asarray(a, dtype=int)
-    total = int(np.prod(sizes))
-    weights = np.bincount(flat, weights=mu, minlength=total)
-    components = np.tile(mu, (total, 1))
-    occupied = np.flatnonzero(weights > 0.0)
-    for c in occupied:
-        restriction = np.where(flat == c, mu, 0.0)
-        components[c] = restriction / weights[c]
+    codes = np.ravel_multi_index(assignments, sizes)
+    weights, components = _induced(mu, np.eye(math.prod(sizes))[codes])
     return Decomposition(weights / weights.sum(), components, sizes)
 
 
@@ -278,11 +269,9 @@ def cnt_search(
             best_value, best_witness, best_label = value, dec, f"identification:{assignments}"
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     for trial in range(budget):
-        response = rng.dirichlet(np.ones(total), size=n)
-        weights = mu @ response
-        components = (mu[None, :] * response.T) / weights[:, None]
+        weights, components = _induced(mu, rng.dirichlet(np.ones(total), size=n))
         dec = Decomposition(weights / weights.sum(), components, sizes)
         value = cnt_functional(mu, dec, parts)
         if value > best_value:
@@ -336,10 +325,8 @@ def rho_afl(
     if n_words > dim_cap:
         raise CapExceededError(f"state would be {n_words} x {n_words}, cap is {dim_cap}")
     if f.is_sharp():
-        words = distribution(
-            system.stationary, refine_afl(system, f, depth, word_cap=dim_cap)
-        )
-        return np.diag(words)
+        refined = refine_afl(system, f, depth, word_cap=dim_cap)
+        return np.diag(system.stationary @ refined.elements)
     k = f.n_outcomes
     pair_roots = np.sqrt(f.response[:, :, None] * f.response[:, None, :])
     grams = pair_roots
@@ -420,7 +407,7 @@ def _sequence_value(
         return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=dim_cap))
     if kind is EntropyKind.KOW:
         refined = refine_afl(system, f, depth, word_cap=word_cap)
-        return shannon_entropy(distribution(system.stationary, refined))
+        return shannon_entropy(system.stationary @ refined.elements)
     raise ValidationError(f"unknown entropy kind {kind!r}")
 
 
@@ -560,7 +547,7 @@ def sup_over_sharp(
         )
     if n_max < 2:
         raise ValidationError("n_max must be >= 2 so a rate can be estimated")
-    best: SupResult | None = None
+    best = None  # (cells, partition, estimate) of the leading candidate
     candidates = 0
     for cells in iter_set_partitions(n, cell_budget):
         part = sharp_partition(cells, n)
@@ -571,17 +558,13 @@ def sup_over_sharp(
             continue
         estimate = rate_estimate(sequence)
         candidates += 1
+        rate = estimate.last_increment
         if (
             best is None
-            or estimate.last_increment > best.estimate.last_increment + 1e-12
+            or rate > best[2].last_increment + 1e-12
+            or (abs(rate - best[2].last_increment) <= 1e-12 and cells < best[0])
         ):
-            best = SupResult(cells, part, estimate, 0)
-        elif (
-            abs(estimate.last_increment - best.estimate.last_increment) <= 1e-12
-            and cells < best.cells
-        ):
-            best = SupResult(cells, part, estimate, 0)
+            best = (cells, part, estimate)
     if best is None:
         raise ValidationError("no sharp partition produced a rateable sequence")
-    best.candidates = candidates
-    return best
+    return SupResult(*best, candidates)

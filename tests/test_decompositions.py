@@ -33,6 +33,16 @@ class TestDecomposition:
         with pytest.raises(ValidationError, match="wrong measure"):
             dec.check_recombines([0.9, 0.1])
 
+    def test_check_recombines_returns_clamped_measure(self):
+        dec = Decomposition([1.0], [[0.0, 1.0]])
+        mu = [-5e-13, 1.0 + 5e-13]
+        checked = dec.check_recombines(mu)
+        assert isinstance(checked, np.ndarray)
+        assert checked[0] == 0.0
+        assert checked[1] == mu[1]
+        with pytest.raises(ValidationError, match="wrong measure"):
+            dec.check_recombines([0.5, 0.5])
+
 
 class TestTrivialDecomposition:
     def test_exact_zero_arity_sizes(self):

@@ -125,6 +125,25 @@ class TestCntFunctional:
         value = el.cnt_functional(doubly_stochastic.stationary, dec, [part, part])
         assert value == pytest.approx(WITNESS_VALUE, abs=1e-12)
 
+    def test_identification_of_non_surjective_maps(self):
+        # Each map misses outcomes, every joint cell holds at most two states
+        # (so its mass is one float in any summation order), and cell 24
+        # holds only the massless state 4.
+        mu = np.array([0.15, 0.3, 0.2, 0.35, 0.0])
+        maps = ((0, 0, 2, 2, 4), (1, 3, 1, 1, 4))
+        codes = np.ravel_multi_index(maps, (5, 5))
+        dec = _identification_decomposition(mu, maps, (5, 5))
+        counts = np.bincount(codes, weights=mu, minlength=25)
+        assert dec.index_sizes == (5, 5)
+        assert np.array_equal(dec.weights, counts / counts.sum())
+        for cell in range(25):
+            if counts[cell] == 0.0:
+                assert np.array_equal(dec.components[cell], mu)
+            else:
+                restriction = np.where(codes == cell, mu, 0.0)
+                assert np.array_equal(dec.components[cell], restriction / counts[cell])
+        assert counts[24] == 0.0 and np.count_nonzero(counts) == 3
+
     def test_arity_mismatch(self, doubly_stochastic):
         part = el.sharp_partition([[0, 1], [2]], 3)
         dec = el.trivial_decomposition(doubly_stochastic.stationary, 2)

@@ -1,0 +1,102 @@
+"""Digest of command line output, for byte-identity checks between two trees.
+
+    python3 tools/cli_digest.py [--src PATH] > digest.txt
+
+Runs ``entropy_lab.cli.main`` in process and prints one ``sha256  argv``
+line per run.  The hash covers the exit code, stdout and stderr.  The runs
+are every command on every fixture system and partition in json, csv and
+table format, then every op that ``bench/workloads.generate`` builds for
+seeds 1-3.  ``--src`` picks the ``src`` directory that ``entropy_lab`` is
+imported from; fixtures and workloads always come from this checkout, so
+two trees are compared with
+
+    python3 tools/cli_digest.py --src OTHER/src > other.txt
+    python3 tools/cli_digest.py > this.txt
+    diff other.txt this.txt
+
+``bench/`` is imported and never written to.  Workload documents are
+written to a temporary directory whose path is replaced by ``<tmp>``
+before hashing and printing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("json", "csv", "table")
+KINDS = ("hud", "mak", "afl", "kow")
+SEEDS = (1, 2, 3)
+
+
+def fixture_argvs():
+    """Every command on every fixture system x partition, in every format."""
+    systems = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures" / "systems").glob("*.json"))
+    parts = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures" / "partitions").glob("*.json"))
+    for fmt, system in itertools.product(FORMATS, systems):
+        tail = ["--format", fmt]
+        yield ["validate", "--system", system, *tail]
+        for kind in KINDS:
+            yield ["sup", "--system", system, "--kind", kind, "--nmax", "3", *tail]
+        for part in parts:
+            head = ["--system", system, "--partition", part]
+            yield ["validate", *head, *tail]
+            for kind in KINDS:
+                yield ["rate", *head, "--kind", kind, "--nmax", "6", *tail]
+            yield ["compare", *head, "--nmax", "4", *tail]
+            yield ["report", *head, "--nmax", "4", *tail]
+            yield ["cnt", *head, "--budget", "20", "--seed", "1", *tail]
+            yield ["sample", *head, "--depth", "4", "--samples", "2000", "--seed", "1", *tail]
+        for first, second in itertools.combinations(parts, 2):
+            yield ["cnt", "--system", system, "--partition", first, "--partition", second,
+                   "--budget", "5", "--seed", "2", *tail]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding entropy_lab")
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    if not (src / "entropy_lab" / "cli.py").is_file():
+        print(f"error: no entropy_lab sources under {src}", file=sys.stderr)
+        return 1
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run  # bench/run.py: pinned BLAS environment and the in-process call
+
+    os.environ.update(run.PINNED_ENV)
+    sys.path.insert(0, str(src))
+    import workloads
+
+    from entropy_lab import cli
+
+    def emit(argv, tmp=None):
+        _, code, out, err = run.call(cli, argv)
+        text = "\0".join((str(code), out, err))
+        shown = " ".join(argv)
+        if tmp is not None:
+            text, shown = text.replace(tmp, "<tmp>"), shown.replace(tmp, "<tmp>")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{digest}  {shown}", flush=True)
+
+    os.chdir(ROOT)
+    for argv in fixture_argvs():
+        emit(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                directory = Path(tmp) / f"{name}-{seed}"
+                directory.mkdir()
+                for op in workloads.generate(name, seed, directory):
+                    emit(op.argv, tmp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
