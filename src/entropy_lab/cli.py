@@ -464,8 +464,12 @@ def main(argv=None) -> int:
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
     text = report.render(args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import CapExceededError, ValidationError
-from .entropy import SUM_TOL, as_prob_vector, as_stochastic_matrix, eta
+from .entropy import SUM_TOL, _eta, as_prob_vector, as_stochastic_matrix
 
 PRUNE_TOL = 1e-15
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -201,15 +201,15 @@ def entropy_defect(decomposition: Decomposition) -> float:
     Zero exactly when the weight tensor is a product measure; the joint
     entropy never exceeds the sum of its marginals, so the defect is >= 0
     up to floating point noise.  The weights were checked at construction,
-    so the entropies sum eta directly.
+    so the entropies sum the unchecked ``_eta`` directly.
     """
     sizes = decomposition.index_sizes
     w = decomposition.weights.reshape(sizes)
     total = 0.0
     for axis in range(len(sizes)):
         other = tuple(i for i in range(len(sizes)) if i != axis)
-        total += float(np.sum(eta(w.sum(axis=other))))
-    return total - float(np.sum(eta(decomposition.weights)))
+        total += float(np.sum(_eta(w.sum(axis=other))))
+    return total - float(np.sum(_eta(decomposition.weights)))
 
 
 def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATION_CAP):

@@ -16,8 +16,9 @@ cells of state labels, or a uniform outcome count:
     {"cells": [["a"], ["b"]]}
     {"uniform": 2}
 
-Structural problems (bad JSON, wrong types, missing or conflicting keys)
-raise DocumentError; semantic problems (row sums, unknown labels, size
+Structural problems (bad JSON, wrong types, missing or conflicting keys,
+and numeric fields that are ragged or hold a non-number) raise
+DocumentError; semantic problems (row sums, unknown labels, size
 mismatches) raise ValidationError.
 """
 
@@ -64,11 +65,19 @@ def load_json(path) -> dict:
     return obj
 
 
-def _require_matrix(obj, key: str) -> list:
+def _numeric(obj: dict, key: str, ndim: int) -> np.ndarray:
+    """Float array of a list (ndim 1) or non-empty list of equal-length rows (ndim 2) of numbers."""
     value = obj[key]
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise DocumentError(f"{key!r} must be a non-empty list of rows")
-    return value
+    rows = value if ndim == 2 else [value]
+    if not (
+        isinstance(value, list)
+        and rows
+        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+        and all(type(v) in (int, float) for row in rows for v in row)
+    ):
+        shape = "a list" if ndim == 1 else "a non-empty list of equal-length rows"
+        raise DocumentError(f"{key!r} must be {shape} of numbers")
+    return np.array(value, dtype=float)
 
 
 def parse_system(obj: dict) -> StochasticSystem:
@@ -88,14 +97,13 @@ def parse_system(obj: dict) -> StochasticSystem:
     ):
         raise DocumentError("'states' must be a list of strings")
     if has_bernoulli:
-        probabilities = obj["bernoulli"]
-        if not isinstance(probabilities, list):
-            raise DocumentError("'bernoulli' must be a list of probabilities")
+        probabilities = _numeric(obj, "bernoulli", 1)
         if "stationary" in obj:
             raise DocumentError("'stationary' is implied by 'bernoulli'")
         return make_bernoulli(probabilities, states)
-    transition = _require_matrix(obj, "transition")
-    return make_markov(states, transition, obj.get("stationary"))
+    transition = _numeric(obj, "transition", 2)
+    stationary = None if obj.get("stationary") is None else _numeric(obj, "stationary", 1)
+    return make_markov(states, transition, stationary)
 
 
 def parse_partition(obj: dict, system: StochasticSystem) -> PartitionOfUnity:
@@ -131,8 +139,7 @@ def parse_partition(obj: dict, system: StochasticSystem) -> PartitionOfUnity:
         if labels is None:
             labels = ["+".join(str(lbl) for lbl in cell) for cell in cells]
         return sharp_partition(index_cells, system.n_states, labels)
-    response = _require_matrix(obj, "response")
-    part = PartitionOfUnity(np.array(response, dtype=float), labels)
+    part = PartitionOfUnity(_numeric(obj, "response", 2), labels)
     if part.n_states != system.n_states:
         raise ValidationError(
             f"response has {part.n_states} rows for {system.n_states} states"

@@ -29,16 +29,9 @@ from .decompositions import (
     _induced,
     _marginal,
     entropy_defect,
-    extremal_decompositions,
     trivial_decomposition,
 )
-from .entropy import (
-    as_prob_vector,
-    eta,
-    relative_entropy_rows,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from .entropy import _eta, as_prob_vector, relative_entropy_rows, von_neumann_entropy
 from .partitions import (
     DEFAULT_WORD_CAP,
     PartitionOfUnity,
@@ -111,9 +104,9 @@ def _information(
 ) -> float:
     """Both ``mutual_information`` forms, cross-checked, on inputs the caller checked."""
     base = muv @ matrix
-    s_base = float(np.sum(eta(base)))
+    s_base = float(np.sum(_eta(base)))
     outcome_rows = components @ matrix
-    row_entropies = np.sum(eta(outcome_rows), axis=1)
+    row_entropies = np.sum(_eta(outcome_rows), axis=1)
     difference_form = s_base - float(weights @ row_entropies)
     present = weights > 0.0
     relative_form = float(
@@ -136,8 +129,8 @@ def hud_functional(mu, f) -> float:
     """
     muv = as_prob_vector(mu, "mu")
     matrix = _response_of(f, muv.shape[0])
-    point_entropies = np.sum(eta(matrix), axis=1)
-    return shannon_entropy(muv @ matrix) - float(muv @ point_entropies)
+    point_entropies = np.sum(_eta(matrix), axis=1)
+    return float(np.sum(_eta(muv @ matrix))) - float(muv @ point_entropies)
 
 
 def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
@@ -160,26 +153,15 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     return total - entropy_defect(decomposition)
 
 
-def cnt_onetime(mu, f, *, brute_force: bool = False, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def cnt_onetime(mu, f) -> float:
     """One-time decomposition entropy of a single partition.
 
     The supremum over decompositions is attained at extremal ones and has
-    the closed form hud_functional(mu, f).  With ``brute_force=True`` the
-    maximum over all extremal decompositions is computed explicitly and
-    must agree with the closed form within 1e-9, else this raises.
+    the closed form hud_functional(mu, f), which this returns.  The explicit
+    maximum over all extremal decompositions is the test oracle
+    ``extremal_maximum`` in ``tests/oracles.py``.
     """
-    closed = hud_functional(mu, f)
-    if brute_force:
-        muv = as_prob_vector(mu, "mu")
-        matrix = _response_of(f, muv.shape[0])
-        best = 0.0
-        for _, dec in extremal_decompositions(muv, muv.shape[0], cap=cap):
-            best = max(best, _information(muv, dec.weights, dec.components, matrix))
-        if abs(best - closed) > MI_FORM_TOL:
-            raise InequalityViolationError(
-                f"extremal maximum {best!r} does not meet the closed form {closed!r}"
-            )
-    return closed
+    return hud_functional(mu, f)
 
 
 @dataclass(eq=False)
@@ -396,19 +378,17 @@ def _sequence_value(
     word_cap: int,
     dim_cap: int,
 ) -> float:
-    if kind is EntropyKind.HUD:
-        return hud_functional(
-            system.stationary, refine_afl(system, f, depth, word_cap=word_cap)
-        )
-    if kind is EntropyKind.MAK:
-        refined = refine_afl(system, f, depth, word_cap=word_cap)
-        return von_neumann_entropy(_mak_state_side(system.stationary, refined, dim_cap))
     if kind is EntropyKind.AFL:
         return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=dim_cap))
-    if kind is EntropyKind.KOW:
-        refined = refine_afl(system, f, depth, word_cap=word_cap)
-        return shannon_entropy(system.stationary @ refined.elements)
-    raise ValidationError(f"unknown entropy kind {kind!r}")
+    if kind not in (EntropyKind.HUD, EntropyKind.MAK, EntropyKind.KOW):
+        raise ValidationError(f"unknown entropy kind {kind!r}")
+    mu = system.stationary
+    refined = refine_afl(system, f, depth, word_cap=word_cap)
+    if kind is EntropyKind.HUD:
+        return hud_functional(mu, refined)
+    if kind is EntropyKind.MAK:
+        return von_neumann_entropy(_mak_state_side(mu, refined, dim_cap))
+    return float(np.sum(_eta(mu @ refined.elements)))
 
 
 def entropy_sequence(

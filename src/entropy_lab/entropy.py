@@ -165,29 +165,36 @@ def as_density_matrix(rho, name: str = "rho") -> np.ndarray:
 
 
 def eta(x):
-    """Entropy integrand -x log x with eta(0) = 0.
+    """Entropy integrand -x log x with eta(0) = 0, checked public entry point.
 
     Accepts a scalar or an array with entries in [0, 1] (a clamping band of
-    1e-12 on both ends is tolerated and snapped to the boundary).
+    1e-12 on both ends is tolerated and snapped to the boundary), then
+    evaluates ``_eta``, the unchecked integrand internal entropies sum.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("eta: non-finite input")
     if np.any(arr < -CLAMP_TOL) or np.any(arr > 1.0 + CLAMP_TOL):
         raise ValidationError("eta: input outside [0, 1] beyond the 1e-12 band")
-    arr = np.clip(arr, 0.0, 1.0)
+    out = _eta(arr)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _eta(p: np.ndarray) -> np.ndarray:
+    """-p log p with 0 log 0 = 0, clipped to [0, 1]; unchecked, for arrays of checked inputs."""
+    arr = np.clip(p, 0.0, 1.0)
     out = np.zeros_like(arr)
     np.multiply(arr, np.log(arr, out=np.zeros_like(arr), where=arr > 0.0), out=out)
     np.negative(out, out=out)
-    if np.ndim(x) == 0:
-        return float(out)
     return out
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy sum(eta(p_i)) in nats."""
     arr = as_prob_vector(p, "p")
-    return float(np.sum(eta(arr)))
+    return float(np.sum(_eta(arr)))
 
 
 def relative_entropy(p, q) -> float:
@@ -219,8 +226,8 @@ def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy sum(eta(spectrum)) of a density matrix, in nats."""
     vals = _density_spectrum(rho, "rho")
-    # Numerical spectra of valid densities may poke above 1 by ~1 ulp.
-    return float(np.sum(eta(np.clip(vals, 0.0, 1.0))))
+    # Numerical spectra of valid densities may poke above 1 by ~1 ulp; _eta clips them.
+    return float(np.sum(_eta(vals)))
 
 
 def diag_restrict(rho) -> np.ndarray:

@@ -20,7 +20,7 @@ depth; they genuinely differ from depth 3 on for stochastic dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,6 @@ class RefinedPartition:
     base_outcomes: int
     depth: int
     elements: np.ndarray
-    labels: tuple[str, ...] = field(repr=False, default=())
 
     def __post_init__(self):
         if self.scheme not in ("afl", "mak"):

@@ -137,3 +137,24 @@ def markov_block_entropy(system, depth: int) -> float:
     for x in range(system.n_states):
         step += system.stationary[x] * shannon(system.transition[x])
     return shannon(system.stationary) + (depth - 1) * step
+
+
+def extremal_maximum(mu, f) -> float:
+    """Largest information over the decompositions of every map states -> states.
+
+    A map a(x) splits mu into its level sets; the information the level set
+    index carries about the outcome of f is H(A) + H(K) - H(A, K) of the
+    joint law q[a, k] = sum over x in level set a of mu_x f_k(x).  The
+    maximum over all n^n maps is the one-time decomposition entropy.
+    """
+    mu = np.asarray(mu, dtype=float)
+    response = np.asarray(f.response, dtype=float)
+    n = mu.shape[0]
+    best = 0.0
+    for assignment in itertools.product(range(n), repeat=n):
+        joint = np.zeros((n, response.shape[1]))
+        for x, a in enumerate(assignment):
+            joint[a] += mu[x] * response[x]
+        value = shannon(joint.sum(axis=1)) + shannon(joint.sum(axis=0)) - shannon(joint)
+        best = max(best, value)
+    return best

@@ -48,7 +48,7 @@ from entropy_lab.partitions import distribution
 from entropy_lab.reports import LN2
 
 from conftest import FIXTURE_DIR, load_fixture, random_partition, random_prob, random_system
-from oracles import markov_block_entropy, path_word_distribution, shannon
+from oracles import extremal_maximum, markov_block_entropy, path_word_distribution, shannon
 
 ETA_SUM_BIASED = 0.5623351446188083
 H_CHAIN = 0.38352279010702806
@@ -191,8 +191,7 @@ def test_criterion_07_one_time_functional_closed_form():
                     mu = system.stationary
                     closed = cnt_onetime(mu, f)
                     assert closed == hud_functional(mu, f)
-                    # raises if the extremal maximum misses the closed form by > 1e-9
-                    assert cnt_onetime(mu, f, brute_force=True) == closed
+                    assert abs(extremal_maximum(mu, f) - closed) <= 1e-9
                     assert abs(cnt_functional(mu, trivial_decomposition(mu, 1), [f])) <= 1e-12
                     two = trivial_decomposition(mu, 2)
                     assert abs(cnt_functional(mu, two, [f, f])) <= 1e-12

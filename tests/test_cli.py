@@ -350,6 +350,41 @@ class TestExitCodes:
         assert "ordering broke" in err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "system, partition, key",
+        [
+            ({"transition": [[0.5, 0.5], [1.0]]}, None, "transition"),
+            ({"transition": [["a"]]}, None, "transition"),
+            ({"transition": [[1.0]], "stationary": {"a": 1}}, None, "stationary"),
+            (None, {"response": [[0.5, "x"], [0.5, 0.5]]}, "response"),
+        ],
+    )
+    def test_malformed_numeric_field_is_a_document_error(self, tmp_path, system, partition, key):
+        system_path = CHAIN
+        if system is not None:
+            system_path = str(tmp_path / "system.json")
+            (tmp_path / "system.json").write_text(json.dumps(system))
+        argv = ["validate", "--system", system_path]
+        if partition is not None:
+            (tmp_path / "partition.json").write_text(json.dumps(partition))
+            argv += ["--partition", str(tmp_path / "partition.json")]
+        code, out, err = run(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key!r} must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["absent/report.json", "."])
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run("validate", "--system", CHAIN, "--out", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 class TestThreadsEnv:
     def test_value_echoed_in_config(self, monkeypatch):
         monkeypatch.setenv("ENTROPY_LAB_THREADS", "3")

@@ -86,6 +86,30 @@ class TestParseSystem:
         with pytest.raises(ValidationError, match="row 1"):
             parse_system(doc)
 
+    def test_null_stationary_solves_for_it(self):
+        doc = {"transition": [[0.9, 0.1], [0.2, 0.8]]}
+        solved = parse_system(doc)
+        again = parse_system({**doc, "stationary": None})
+        assert np.array_equal(again.stationary, solved.stationary)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"transition": [[0.5, 0.5], [1.0]]}, "transition"),
+            ({"transition": [[0.5, 0.5], 1.0]}, "transition"),
+            ({"transition": []}, "transition"),
+            ({"transition": [["1.0"]]}, "transition"),
+            ({"transition": [[True]]}, "transition"),
+            ({"transition": [[1.0]], "stationary": {"a": 1}}, "stationary"),
+            ({"transition": [[1.0]], "stationary": [None]}, "stationary"),
+            ({"bernoulli": 0.5}, "bernoulli"),
+            ({"bernoulli": [0.5, [0.5]]}, "bernoulli"),
+        ],
+    )
+    def test_malformed_numeric_field_names_the_key(self, doc, key):
+        with pytest.raises(DocumentError, match=f"'{key}' must be"):
+            parse_system(doc)
+
     def test_states_must_match_matrix_size(self):
         doc = {"transition": [[0.5, 0.5], [0.5, 0.5]], "states": ["a"]}
         with pytest.raises(ValidationError):
@@ -120,6 +144,10 @@ class TestParsePartition:
         doc = {"response": [[0.8, 0.2], [0.3, 0.7]]}
         with pytest.raises(ValidationError, match="rows"):
             parse_partition(doc, doubly_stochastic)
+
+    def test_ragged_response_is_a_document_error(self, two_state_chain):
+        with pytest.raises(DocumentError, match="'response' must be"):
+            parse_partition({"response": [[0.5, 0.5], [1.0]]}, two_state_chain)
 
     def test_uniform_form(self, two_state_chain):
         f = parse_partition({"uniform": 3}, two_state_chain)

@@ -21,6 +21,7 @@ from conftest import random_partition, random_prob, random_system
 from oracles import (
     BELL_NUMBERS,
     conditional_information,
+    extremal_maximum,
     gram_state,
     markov_block_entropy,
     path_rho_afl,
@@ -218,8 +219,7 @@ class TestCntOnetime:
             n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             mu = random_prob(rng, n)
             part = random_partition(rng, n, k)
-            # raises internally if the extremal maximum misses the closed form
-            el.cnt_onetime(mu, part, brute_force=True)
+            assert abs(extremal_maximum(mu, part) - el.cnt_onetime(mu, part)) <= 1e-9
 
     def test_explicit_extremal_maximum(self):
         rng = np.random.default_rng(73)
@@ -454,6 +454,27 @@ class TestMakStateSide:
         assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12
+
+
+class TestSequenceValues:
+    @settings(max_examples=80, deadline=None)
+    @given(gram_cases())
+    def test_hud_and_kow_equal_their_public_functionals(self, case):
+        system, part, depth = case
+        mu = system.stationary
+        hud = el.entropy_sequence(system, part, el.EntropyKind.HUD, depth).values
+        kow = el.entropy_sequence(system, part, el.EntropyKind.KOW, depth).values
+        for n in range(1, depth + 1):
+            refined = el.refine_afl(system, part, n)
+            assert hud[n - 1] == el.hud_functional(mu, refined)
+            assert kow[n - 1] == el.shannon_entropy(el.distribution(mu, refined))
+
+    def test_unknown_kind_raises_before_refining(
+        self, monkeypatch, two_state_chain, blur_partition
+    ):
+        monkeypatch.setattr("entropy_lab.dynamical.refine_afl", lambda *a, **k: pytest.fail())
+        with pytest.raises(ValidationError, match="unknown entropy kind"):
+            el.entropy_sequence(two_state_chain, blur_partition, "kow", 2)
 
 
 class TestRateEstimate:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import entropy_lab as el
 from entropy_lab import ValidationError
 from entropy_lab.entropy import (
+    CLAMP_TOL,
+    _eta,
     as_density_matrix,
     as_prob_vector,
     as_stochastic_matrix,
@@ -89,6 +91,10 @@ class TestShannon:
             n = int(rng.integers(2, 7))
             p = random_prob(rng, n)
             assert el.shannon_entropy(p) <= math.log(n) + 1e-12
+
+    def test_accepts_every_vector_as_prob_vector_accepts(self):
+        # an entry above 1 + 1e-12 is within the 1e-9 sum tolerance
+        assert el.shannon_entropy([1.0 + 5e-10, 0.0]) == 0.0
 
 
 class TestRelativeEntropy:
@@ -264,3 +270,11 @@ def test_relative_entropy_nonnegative_property(raw_p, raw_q):
     p = np.asarray(raw_p[:size]) / np.sum(raw_p[:size])
     q = np.asarray(raw_q[:size]) / np.sum(raw_q[:size])
     assert el.relative_entropy(p, q) >= -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-CLAMP_TOL, 1.0 + CLAMP_TOL), min_size=1, max_size=8))
+def test_unchecked_eta_equals_eta_on_accepted_input(raw):
+    band = [-CLAMP_TOL, -5e-13, -0.0, 5e-324, 1.0 - 1e-16, 1.0 + 5e-13, 1.0 + CLAMP_TOL]
+    p = np.array(raw + band)
+    assert np.array_equal(_eta(p), el.eta(p))

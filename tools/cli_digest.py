@@ -6,7 +6,9 @@ Runs ``entropy_lab.cli.main`` in process and prints one ``sha256  argv``
 line per run.  The hash covers the exit code, stdout and stderr.  The runs
 are every command on every fixture system and partition in json, csv and
 table format, then every op that ``bench/workloads.generate`` builds for
-seeds 1-3.  ``--src`` picks the ``src`` directory that ``entropy_lab`` is
+seeds 1-3, then the error paths: one run for each of exit codes 1-3,
+malformed numeric fields in documents, and ``--out`` to a directory that
+does not exist.  ``--src`` picks the ``src`` directory that ``entropy_lab`` is
 imported from; fixtures and workloads always come from this checkout, so
 two trees are compared with
 
@@ -14,9 +16,10 @@ two trees are compared with
     python3 tools/cli_digest.py > this.txt
     diff other.txt this.txt
 
-``bench/`` is imported and never written to.  Workload documents are
-written to a temporary directory whose path is replaced by ``<tmp>``
-before hashing and printing.
+``bench/`` is imported and never written to.  Workload and error-path
+documents are written to a temporary directory whose path is replaced by
+``<tmp>`` before hashing and printing.  An exception that escapes
+``cli.main`` is hashed as its type and message in place of the exit code.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import sys
 import tempfile
@@ -33,6 +37,15 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("json", "csv", "table")
 KINDS = ("hud", "mak", "afl", "kow")
 SEEDS = (1, 2, 3)
+CHAIN = "fixtures/systems/two_state_chain.json"
+BLUR = "fixtures/partitions/two_state_blur.json"
+ERROR_SYSTEMS = {
+    "bad_row_sum": {"transition": [[0.6, 0.6], [0.5, 0.5]]},
+    "ragged_transition": {"transition": [[0.5, 0.5], [1.0]]},
+    "text_transition": {"transition": [["a"]]},
+    "object_stationary": {"transition": [[1.0]], "stationary": {"a": 1}},
+}
+ERROR_PARTITIONS = {"text_response": {"response": [[0.5, "x"], [0.5, 0.5]]}}
 
 
 def fixture_argvs():
@@ -56,6 +69,21 @@ def fixture_argvs():
         for first, second in itertools.combinations(parts, 2):
             yield ["cnt", "--system", system, "--partition", first, "--partition", second,
                    "--budget", "5", "--seed", "2", *tail]
+
+
+def error_argvs(directory: Path):
+    """Runs that end in an error, with their documents written to ``directory``."""
+    yield ["frobnicate", "--system", CHAIN]
+    yield ["rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--nmax", "12"]
+    for name, doc in ERROR_SYSTEMS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        yield ["validate", "--system", str(path)]
+    for name, doc in ERROR_PARTITIONS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        yield ["validate", "--system", CHAIN, "--partition", str(path)]
+    yield ["validate", "--system", CHAIN, "--out", str(directory / "absent" / "x.json")]
 
 
 def main() -> int:
@@ -95,6 +123,10 @@ def main() -> int:
                 directory.mkdir()
                 for op in workloads.generate(name, seed, directory):
                     emit(op.argv, tmp)
+        directory = Path(tmp) / "errors"
+        directory.mkdir()
+        for argv in error_argvs(directory):
+            emit(argv, tmp)
     return 0
 
 
