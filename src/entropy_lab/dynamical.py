@@ -216,6 +216,8 @@ def cnt_search(
         raise ValidationError("times must be >= 1")
     if budget < 0:
         raise ValidationError("budget must be >= 0")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if times == 1:
         parts = [f]
     elif times == 2:

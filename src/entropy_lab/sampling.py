@@ -3,9 +3,17 @@
 Samples state trajectories from the stationary chain and outcome symbols
 from the response rows, in independent blocks of at most ``BLOCK_SIZE``
 draws.  Each block gets its own child generator spawned from one seed
-sequence, so results are bit-reproducible and independent of how blocks
-would be scheduled across workers; a parallel driver only has to respect
-block boundaries to reproduce the sequential result.
+sequence, so results are bit-reproducible.
+
+Each draw is an inverse CDF: the picked index is the number of cumulative
+weights of the current row that lie below a uniform u.  The cumulative
+tables are kept as threshold columns, one per index but the last (that one
+is 1.0, and u < 1 never exceeds it), so one sample-step costs about
+n + k - 2 gathers and compares over the block and never builds an array
+wider than the block.  A block draws ``rng.random(m)`` once for the start
+state and then, at each time, once for the symbol and (except after the
+last symbol) once for the transition; that fixed draw order is what keeps
+the counts for a given seed the same.
 """
 
 from __future__ import annotations
@@ -21,15 +29,22 @@ BLOCK_SIZE = 1 << 16
 __all__ = ["BLOCK_SIZE", "sample_words", "empirical_distribution", "tv_distance", "tv_bound"]
 
 
-def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = 1.0
-    return cum
+def _threshold_columns(matrix: np.ndarray) -> np.ndarray:
+    """Cumulative row weights, one contiguous row per column but the last."""
+    return np.cumsum(matrix, axis=1).T[:-1].copy()
 
 
-def _pick(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse CDF: smallest index whose cumulative weight exceeds u."""
-    return np.sum(cum_rows < u[:, None], axis=1)
+def _pick(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF per sample: how many thresholds of its row lie below u.
+
+    ``columns[j][rows[i]]`` is the cumulative weight of indices 0..j in row
+    ``rows[i]``; the count is the smallest index whose cumulative weight
+    exceeds ``u[i]``.  Every temporary has the length of ``u``.
+    """
+    picked = np.zeros(u.shape[0], dtype=np.intp)
+    for column in columns:
+        picked += column.take(rows) < u
+    return picked
 
 
 def sample_words(
@@ -53,14 +68,16 @@ def sample_words(
         raise ValidationError("depth must be >= 1")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     k = f.n_outcomes
     n_words = k**depth
     if n_words > word_cap:
         raise CapExceededError(f"would count {n_words} words, cap is {word_cap}")
     cum_mu = np.cumsum(system.stationary)
     cum_mu[-1] = 1.0
-    cum_p = _cumulative_rows(system.transition)
-    cum_f = _cumulative_rows(f.response)
+    cols_p = _threshold_columns(system.transition)
+    cols_f = _threshold_columns(f.response)
     counts = np.zeros(n_words, dtype=np.int64)
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -72,10 +89,10 @@ def sample_words(
         x = np.searchsorted(cum_mu, rng.random(m), side="right")
         codes = np.zeros(m, dtype=np.int64)
         for step in range(depth):
-            symbols = _pick(cum_f[x], rng.random(m))
+            symbols = _pick(cols_f, x, rng.random(m))
             codes = codes * k + symbols
             if step < depth - 1:
-                x = _pick(cum_p[x], rng.random(m))
+                x = _pick(cols_p, x, rng.random(m))
         counts += np.bincount(codes, minlength=n_words)
     return counts
 

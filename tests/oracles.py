@@ -4,7 +4,8 @@ Everything here is deliberately written the slow and obvious way, avoiding
 the code paths (and where possible the algorithms) of the package: the
 eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
-paths, and the Markov block entropy uses its closed form.
+paths, the Markov block entropy uses its closed form, and word sampling
+gathers whole cumulative rows for every sample.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+SAMPLE_BLOCK = 1 << 16
 
 
 def jacobi_eigenvalues(matrix, tol: float = 1e-13, max_sweeps: int = 200) -> np.ndarray:
@@ -158,3 +160,44 @@ def extremal_maximum(mu, f) -> float:
         value = shannon(joint.sum(axis=1)) + shannon(joint.sum(axis=0)) - shannon(joint)
         best = max(best, value)
     return best
+
+
+def sample_words_rowwise(transition, stationary, response, depth: int, n_samples: int, seed: int):
+    """Word counts by a row-wise inverse CDF, block by block.
+
+    The draws follow the scheme of ``sampling.sample_words``: one child
+    generator per block of at most ``SAMPLE_BLOCK`` samples, spawned from
+    ``SeedSequence(seed)``; per block one uniform per sample for the start
+    state, then per time one for the symbol and, between times, one for the
+    transition.  Each index is the number of entries of the gathered
+    cumulative row (last entry set to 1.0) that lie below the uniform.
+    """
+    transition = np.asarray(transition, dtype=float)
+    response = np.asarray(response, dtype=float)
+    k = response.shape[1]
+    n_words = k**depth
+    cum_mu = np.cumsum(stationary)
+    cum_mu[-1] = 1.0
+    cum_p = np.cumsum(transition, axis=1)
+    cum_p[:, -1] = 1.0
+    cum_f = np.cumsum(response, axis=1)
+    cum_f[:, -1] = 1.0
+    counts = np.zeros(n_words, dtype=np.int64)
+    n_blocks = (n_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    remaining = n_samples
+    for child in children:
+        rng = np.random.default_rng(child)
+        m = min(SAMPLE_BLOCK, remaining)
+        remaining -= m
+        x = np.searchsorted(cum_mu, rng.random(m), side="right")
+        codes = np.zeros(m, dtype=np.int64)
+        for step in range(depth):
+            u = rng.random(m)
+            symbols = np.sum(cum_f[x] < u[:, None], axis=1)
+            codes = codes * k + symbols
+            if step < depth - 1:
+                u = rng.random(m)
+                x = np.sum(cum_p[x] < u[:, None], axis=1)
+        counts += np.bincount(codes, minlength=n_words)
+    return counts

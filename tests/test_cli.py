@@ -340,6 +340,22 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "-1"),
+            ("cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"),
+        ],
+        ids=["sample", "cnt"],
+    )
+    def test_negative_seed_is_validation(self, argv):
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_inequality_violation_maps_to_exit_4(self, monkeypatch):
         def explode(args, threads):
             raise InequalityViolationError("ordering broke")

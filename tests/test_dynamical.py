@@ -272,6 +272,10 @@ class TestCntSearch:
         with pytest.raises(CapExceededError):
             el.cnt_search(doubly_stochastic, part, budget=0, seed=0, cap=100)
 
+    def test_negative_seed_rejected(self, two_state_chain, coin_extremal):
+        with pytest.raises(ValidationError, match="seed"):
+            el.cnt_search(two_state_chain, coin_extremal, budget=2, seed=-3)
+
     def test_budget_zero(self, two_state_chain, coin_extremal):
         result = el.cnt_search(two_state_chain, coin_extremal, budget=0, seed=0)
         assert result.random_trials == 0

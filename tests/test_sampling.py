@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import entropy_lab as el
 
 from entropy_lab import (
     empirical_distribution,
@@ -16,7 +20,8 @@ from entropy_lab.partitions import distribution
 from entropy_lab.sampling import BLOCK_SIZE
 from entropy_lab._errors import CapExceededError, ValidationError
 
-from conftest import random_system, random_partition
+from conftest import fixture_path, random_system, random_partition
+from oracles import sample_words_rowwise
 
 
 class TestSampleWords:
@@ -64,6 +69,80 @@ class TestSampleWords:
     def test_partition_must_match_system(self, doubly_stochastic, blur_partition):
         with pytest.raises(ValidationError, match="state count"):
             sample_words(doubly_stochastic, blur_partition, 2, 10, 0)
+
+    def test_negative_seed_rejected(self, two_state_chain, blur_partition):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_words(two_state_chain, blur_partition, 2, 10, -1)
+
+
+class TestFrozenStream:
+    """Counts pinned to the random stream and block scheme of ``sample_words``."""
+
+    def test_unsharp_chain_across_a_block_boundary(self, two_state_chain, blur_partition):
+        counts = sample_words(two_state_chain, blur_partition, 3, BLOCK_SIZE + 7, 7)
+        assert counts.tolist() == [20793, 8042, 7321, 5411, 7918, 4489, 5397, 6172]
+
+    def test_sharp_split_of_the_doubly_stochastic_chain(self):
+        system = el.load_system(fixture_path("systems", "three_state_doubly.json"))
+        part = el.load_partition(fixture_path("partitions", "three_split.json"), system)
+        counts = sample_words(system, part, 2, BLOCK_SIZE + 7, 7)
+        assert counts.tolist() == [26191, 17459, 17510, 4383]
+
+
+@st.composite
+def sampling_cases(draw):
+    """A chain, a partition, a depth and a sample count around the block size.
+
+    Dynamics: dense, sparse (an n-cycle plus small noise on some entries),
+    deterministic (a pure permutation), periodic (period 2, moving between
+    two halves of the states), or dense with one state of tiny stationary
+    mass.  Partitions: unsharp with exact zeros in rows, sharp, or totally
+    mixing.
+    """
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 6))
+    depth = draw(st.integers(1, 4))
+    n_samples = draw(st.sampled_from((1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dynamics = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny_mass")))
+    if dynamics == "deterministic":
+        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
+    else:
+        transition = rng.dirichlet(np.ones(n), size=n)
+        if dynamics == "sparse":
+            order = rng.permutation(n)
+            cycle = np.zeros((n, n))
+            cycle[order, np.roll(order, 1)] = 1.0
+            transition = cycle + np.where(rng.random((n, n)) < 0.3, 0.01 * transition, 0.0)
+        elif dynamics == "periodic":
+            half = rng.permutation(n) < n // 2
+            transition = np.where(half[:, None] != half[None, :], transition + 0.01, 0.0)
+        elif dynamics == "tiny_mass":
+            transition[1:, 0] = draw(st.floats(1e-9, 1e-6))
+        system = el.make_markov(n, transition / transition.sum(axis=1, keepdims=True))
+    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
+    if kind == "unsharp":
+        response = rng.dirichlet(np.ones(k), size=n)
+        response[rng.random((n, k)) < 0.3] = 0.0
+        response[np.arange(n), rng.integers(0, k, size=n)] += 0.1
+        part = el.PartitionOfUnity(response / response.sum(axis=1, keepdims=True))
+    elif kind == "sharp":
+        part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
+    else:
+        part = el.uniform_unsharp(n, k)
+    return system, part, depth, n_samples, draw(st.integers(0, 2**32))
+
+
+class TestAgainstRowwiseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sampling_cases())
+    def test_counts_equal_the_rowwise_inverse_cdf(self, case):
+        system, part, depth, n_samples, seed = case
+        counts = sample_words(system, part, depth, n_samples, seed)
+        oracle = sample_words_rowwise(
+            system.transition, system.stationary, part.response, depth, n_samples, seed
+        )
+        assert np.array_equal(counts, oracle)
 
 
 class TestEmpiricalDistribution:

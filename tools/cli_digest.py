@@ -7,10 +7,11 @@ line per run.  The hash covers the exit code, stdout and stderr.  The runs
 are every command on every fixture system and partition in json, csv and
 table format, then every op that ``bench/workloads.generate`` builds for
 seeds 1-3, then the error paths: one run for each of exit codes 1-3,
-malformed numeric fields in documents, and ``--out`` to a directory that
-does not exist.  ``--src`` picks the ``src`` directory that ``entropy_lab`` is
-imported from; fixtures and workloads always come from this checkout, so
-two trees are compared with
+malformed numeric fields in documents, ``--out`` to a directory that
+does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``.
+``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
+from; fixtures and workloads always come from this checkout, so two trees
+are compared with
 
     python3 tools/cli_digest.py --src OTHER/src > other.txt
     python3 tools/cli_digest.py > this.txt
@@ -84,6 +85,8 @@ def error_argvs(directory: Path):
         path.write_text(json.dumps(doc))
         yield ["validate", "--system", CHAIN, "--partition", str(path)]
     yield ["validate", "--system", CHAIN, "--out", str(directory / "absent" / "x.json")]
+    yield ["sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "-1"]
+    yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"]
 
 
 def main() -> int:
