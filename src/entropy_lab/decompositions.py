@@ -9,7 +9,10 @@ defect measures how far the weight tensor is from a product of its
 marginals.
 
 Every decomposition built from a response matrix g is the one g induces,
-weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``.
+weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``
+for one g or for a stack of them.  A stack of decompositions is checked as
+a whole by ``_checked_stack``, with the row check ``Decomposition`` applies
+to each one, and handed out one read-only ``Decomposition`` per row.
 Pruning is the policy of the one-index builders and the marginals: they drop
 indices of weight below ``PRUNE_TOL``, which add nothing to any entropy (eta
 is continuous at 0) and would force divisions by ~0 when normalizing.
@@ -62,18 +65,21 @@ class Decomposition:
             raise ValidationError(
                 f"components must be ({w.shape[0]}, n_states), got {c.shape}"
             )
-        sizes = (w.shape[0],) if self.index_sizes is None else tuple(map(int, self.index_sizes))
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValidationError(f"index sizes must be positive, got {sizes}")
-        if math.prod(sizes) != w.shape[0]:
-            raise ValidationError(
-                f"index sizes {sizes} need {math.prod(sizes)} weights, got {w.shape[0]}"
-            )
+        sizes = _index_sizes(self.index_sizes, w.shape[0])
         w.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", c)
         object.__setattr__(self, "index_sizes", sizes)
+
+    @classmethod
+    def _wrap(cls, weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...]):
+        """Decomposition of read-only arrays the caller checked, not checked again."""
+        decomposition = object.__new__(cls)
+        decomposition.weights = weights
+        decomposition.components = components
+        decomposition.index_sizes = sizes
+        return decomposition
 
     @property
     def n_components(self) -> int:
@@ -99,12 +105,45 @@ class Decomposition:
         target = as_prob_vector(mu, "mu")
         if target.shape[0] != self.n_states:
             raise ValidationError("measure dimension does not match components")
-        gap = float(np.max(np.abs(self.mixture() - target)))
+        gap = float(np.abs(self.mixture() - target).max())
         if gap > SUM_TOL:
             raise ValidationError(
                 f"decomposition recombines to the wrong measure: max gap {gap:.3e} > {SUM_TOL:.0e}"
             )
         return target
+
+
+def _index_sizes(index_sizes, n_components: int) -> tuple[int, ...]:
+    """Checked index shape of ``n_components`` components; None means one index."""
+    sizes = (n_components,) if index_sizes is None else tuple(map(int, index_sizes))
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValidationError(f"index sizes must be positive, got {sizes}")
+    if math.prod(sizes) != n_components:
+        raise ValidationError(
+            f"index sizes {sizes} need {math.prod(sizes)} weights, got {n_components}"
+        )
+    return sizes
+
+
+def _checked_stack(weights, components, index_sizes) -> list[Decomposition]:
+    """One read-only Decomposition per row of a stack, all checked at once.
+
+    ``weights`` is (m, n_components) and ``components`` is (m, n_components,
+    n_states).  Every weight row and every component row goes through
+    ``as_stochastic_matrix``, the row check ``Decomposition`` applies to
+    each of its rows, and the index sizes are checked once; so the stack is
+    accepted exactly when each ``Decomposition(weights[i], components[i],
+    index_sizes)`` would be.  The rows are then wrapped unchecked.
+    """
+    w = as_stochastic_matrix(weights, "weights")
+    c = np.asarray(components, dtype=float)
+    if c.ndim != 3 or c.shape[:2] != w.shape:
+        raise ValidationError(f"components must be {w.shape} x n_states, got {c.shape}")
+    c = as_stochastic_matrix(c.reshape(-1, c.shape[2]), "component").reshape(c.shape)
+    sizes = _index_sizes(index_sizes, w.shape[1])
+    w.setflags(write=False)
+    c.setflags(write=False)
+    return [Decomposition._wrap(w_row, c_rows, sizes) for w_row, c_rows in zip(w, c)]
 
 
 def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
@@ -118,14 +157,16 @@ def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
 def _induced(muv: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights mu(g_a) and components mu * g_a / mu(g_a) that g induces.
 
-    g is a response matrix (states x indices) and muv a checked measure.
-    The weights are not normalized; an index of zero weight keeps muv as
-    its placeholder component.
+    g is a response matrix (states x indices), or a stack of them
+    (..., states, indices), and muv a checked measure.  The weights
+    (..., indices) are not normalized; an index of zero weight keeps muv as
+    its placeholder component in the components (..., indices, states).
+    Each matrix of a stack gives the same floats as it would alone.
     """
     weights = muv @ response
-    components = np.tile(muv, (weights.shape[0], 1))
+    components = np.broadcast_to(muv, (*weights.shape, muv.shape[0])).copy()
     occupied = weights > 0.0
-    components[occupied] = (muv[None, :] * response.T[occupied]) / weights[occupied, None]
+    components[occupied] = (muv * np.swapaxes(response, -1, -2)[occupied]) / weights[occupied, None]
     return weights, components
 
 
@@ -170,17 +211,36 @@ def to_densities(decomposition: Decomposition, mu):
     return PartitionOfUnity(response)
 
 
-def _marginal(decomposition: Decomposition, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and components of ``multi_marginal`` for an axis in range."""
+def _other_axes(sizes: tuple[int, ...], axis: int) -> tuple[int, ...]:
+    return tuple(i for i in range(len(sizes)) if i != axis)
+
+
+def _axis_sums(decomposition: Decomposition) -> list[np.ndarray]:
+    """Weight sums of every index axis, neither pruned nor renormalized."""
+    sizes = decomposition.index_sizes
+    joint = decomposition.weights.reshape(sizes)
+    return [joint.sum(axis=_other_axes(sizes, axis)) for axis in range(len(sizes))]
+
+
+def _marginal(
+    decomposition: Decomposition, axis: int, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and components of ``multi_marginal`` from the axis' weight sums."""
     sizes, w = decomposition.index_sizes, decomposition.weights
     wc = (w[:, None] * decomposition.components).reshape(*sizes, decomposition.n_states)
-    other = tuple(i for i in range(len(sizes)) if i != axis)
-    marg_w = w.reshape(sizes).sum(axis=other)
-    keep = np.flatnonzero(marg_w > PRUNE_TOL)
+    keep = np.flatnonzero(sums > PRUNE_TOL)
     if keep.size == 0:
         raise ValidationError("marginal lost all its mass")
-    marg_w = marg_w[keep]
-    return marg_w / marg_w.sum(), wc.sum(axis=other)[keep] / marg_w[:, None]
+    marg_w = sums[keep]
+    return marg_w / marg_w.sum(), wc.sum(axis=_other_axes(sizes, axis))[keep] / marg_w[:, None]
+
+
+def _defect(weights: np.ndarray, axis_sums: list[np.ndarray]) -> float:
+    """``entropy_defect`` of the weights, from their ``_axis_sums``."""
+    total = 0.0
+    for sums in axis_sums:
+        total += float(_eta(sums).sum())
+    return total - float(_eta(weights).sum())
 
 
 def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
@@ -192,7 +252,8 @@ def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
     """
     if not 0 <= axis < decomposition.arity:
         raise ValidationError(f"axis {axis} outside range(0, {decomposition.arity})")
-    return Decomposition(*_marginal(decomposition, axis))
+    sums = _axis_sums(decomposition)[axis]
+    return Decomposition(*_marginal(decomposition, axis, sums))
 
 
 def entropy_defect(decomposition: Decomposition) -> float:
@@ -203,13 +264,7 @@ def entropy_defect(decomposition: Decomposition) -> float:
     up to floating point noise.  The weights were checked at construction,
     so the entropies sum the unchecked ``_eta`` directly.
     """
-    sizes = decomposition.index_sizes
-    w = decomposition.weights.reshape(sizes)
-    total = 0.0
-    for axis in range(len(sizes)):
-        other = tuple(i for i in range(len(sizes)) if i != axis)
-        total += float(np.sum(_eta(w.sum(axis=other))))
-    return total - float(np.sum(_eta(decomposition.weights)))
+    return _defect(decomposition.weights, _axis_sums(decomposition))
 
 
 def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATION_CAP):

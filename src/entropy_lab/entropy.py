@@ -61,12 +61,12 @@ def as_prob_vector(p, name: str = "p") -> np.ndarray:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
-    if np.any(arr < -CLAMP_TOL):
+    if (arr < -CLAMP_TOL).any():
         worst = float(arr.min())
         raise ValidationError(f"{name} has negative entry {worst:.3e} below -{CLAMP_TOL:.0e}")
-    np.clip(arr, 0.0, None, out=arr)
+    np.maximum(arr, 0.0, out=arr)
     total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"{name} sums to {total!r}, not 1 within {SUM_TOL:.0e}")
@@ -85,14 +85,14 @@ def as_stochastic_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValidationError(f"{name} has a zero dimension: {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
-    if np.any(arr < -CLAMP_TOL):
+    if (arr < -CLAMP_TOL).any():
         i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise ValidationError(
             f"{name}[{i},{j}] = {arr[i, j]:.3e} is below -{CLAMP_TOL:.0e}"
         )
-    np.clip(arr, 0.0, None, out=arr)
+    np.maximum(arr, 0.0, out=arr)
     sums = arr.sum(axis=1)
     bad = np.argmax(np.abs(sums - 1.0))
     if abs(sums[bad] - 1.0) > SUM_TOL:
@@ -184,9 +184,10 @@ def eta(x):
 
 def _eta(p: np.ndarray) -> np.ndarray:
     """-p log p with 0 log 0 = 0, clipped to [0, 1]; unchecked, for arrays of checked inputs."""
-    arr = np.clip(p, 0.0, 1.0)
-    out = np.zeros_like(arr)
-    np.multiply(arr, np.log(arr, out=np.zeros_like(arr), where=arr > 0.0), out=out)
+    arr = np.minimum(np.maximum(0.0, p), 1.0)  # 0.0 first: a -0.0 stays -0.0, as np.clip keeps it
+    out = np.zeros(arr.shape)
+    np.log(arr, out=out, where=arr > 0.0)
+    np.multiply(arr, out, out=out)
     np.negative(out, out=out)
     return out
 
@@ -217,9 +218,9 @@ def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     of q gives math.inf.
     """
     support = rows > 0.0
-    ratios = np.divide(rows, q, out=np.ones_like(rows), where=support & (q > 0.0))
-    values = np.sum(rows * np.log(ratios), axis=1)
-    values[np.any(support & (q == 0.0), axis=1)] = math.inf
+    ratios = np.divide(rows, q, out=np.ones(rows.shape), where=support & (q > 0.0))
+    values = (rows * np.log(ratios)).sum(axis=1)
+    values[(support & (q == 0.0)).any(axis=1)] = math.inf
     return values
 
 

@@ -5,7 +5,9 @@ the code paths (and where possible the algorithms) of the package: the
 eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
 paths, the Markov block entropy uses its closed form, and word sampling
-gathers whole cumulative rows for every sample.
+gathers whole cumulative rows for every sample.  The identification scan
+of ``cnt_search`` is rebuilt one candidate at a time through the public
+``Decomposition`` and ``cnt_functional``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 import math
 
 import numpy as np
+
+from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
+from entropy_lab.dynamical import MI_FORM_TOL
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 SAMPLE_BLOCK = 1 << 16
@@ -160,6 +165,40 @@ def extremal_maximum(mu, f) -> float:
         value = shannon(joint.sum(axis=1)) + shannon(joint.sum(axis=0)) - shannon(joint)
         best = max(best, value)
     return best
+
+
+def identification_scan(mu, parts, n: int, times: int):
+    """The trivial and identification part of ``cnt_search``, one candidate at a time.
+
+    For every tuple of maps range(n) -> range(n), one per time and in
+    lexicographic order, the one-hot response of the joint codes gives the
+    weights ``mu @ response`` and the components mu * g_a / mu(g_a) (mu
+    itself for a cell of zero mass), and a public ``Decomposition`` of the
+    normalized weights is evaluated by ``cnt_functional``.  A candidate
+    replaces the witness only with a strictly larger value.  Returns
+    (best_value, witness_label, witness, negative_identifications,
+    identifications).
+    """
+    sizes = (n,) * times
+    cells = n**times
+    witness = trivial_decomposition(mu, times)
+    best, label = cnt_functional(mu, witness, parts), "trivial"
+    negative = identifications = 0
+    single_maps = list(itertools.product(range(n), repeat=n))
+    for assignments in itertools.product(single_maps, repeat=times):
+        response = np.eye(cells)[np.ravel_multi_index(assignments, sizes)]
+        weights = mu @ response
+        components = np.array(
+            [mu * response[:, a] / weights[a] if weights[a] > 0.0 else mu for a in range(cells)]
+        )
+        dec = Decomposition(weights / weights.sum(), components, sizes)
+        value = cnt_functional(mu, dec, parts)
+        identifications += 1
+        if value < -MI_FORM_TOL:
+            negative += 1
+        if value > best:
+            best, label, witness = value, f"identification:{assignments}", dec
+    return best, label, witness, negative, identifications
 
 
 def sample_words_rowwise(transition, stationary, response, depth: int, n_samples: int, seed: int):

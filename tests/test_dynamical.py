@@ -1,6 +1,7 @@
 """Entropy functionals, Gram states, sequences, rates, and searches."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
-from entropy_lab import CapExceededError, InequalityViolationError, ValidationError
+from entropy_lab import CapExceededError, InequalityViolationError, ValidationError, dynamical
 from entropy_lab.decompositions import Decomposition
 from entropy_lab.dynamical import (
     DEFAULT_DIM_CAP,
@@ -23,6 +24,7 @@ from oracles import (
     conditional_information,
     extremal_maximum,
     gram_state,
+    identification_scan,
     markov_block_entropy,
     path_rho_afl,
 )
@@ -232,7 +234,82 @@ class TestCntOnetime:
         assert best == pytest.approx(el.hud_functional(mu, part), abs=1e-9)
 
 
+def _scan_partition(draw, rng, n):
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
+    if kind == "unsharp":
+        return random_partition(rng, n, k)
+    if kind == "sharp":
+        return el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
+    return el.uniform_unsharp(n, k)
+
+
+@st.composite
+def scan_cases(draw):
+    """A system, f, an optional g, the number of times and a scan chunk size.
+
+    Chains are dense, sparse (a cycle plus one random jump per state),
+    deterministic (a permutation), periodic (period 2 when n > 1) or
+    independent with one stationary mass of 1e-9 or 1e-13.  g is either
+    left to default to theta f or drawn like f.
+    """
+    n = draw(st.integers(1, 3))
+    times = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    chain = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny")))
+    if chain == "dense":
+        system = random_system(rng, n)
+    elif chain == "sparse":
+        p = np.zeros((n, n))
+        stay = rng.uniform(0.1, 0.9, size=n)
+        p[np.arange(n), (np.arange(n) + 1) % n] = stay
+        np.add.at(p, (np.arange(n), rng.integers(0, n, size=n)), 1.0 - stay)
+        system = el.make_markov(n, p)
+    elif chain == "deterministic":
+        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
+    elif chain == "periodic":
+        p = np.eye(n)[(np.arange(n) + 1) % n]
+        if n == 3:
+            a = rng.uniform(0.1, 0.9)
+            p = np.array([[0.0, 1.0, 0.0], [a, 0.0, 1.0 - a], [0.0, 1.0, 0.0]])
+        system = el.make_markov(n, p)
+    else:
+        probabilities = random_prob(rng, n)
+        if n > 1:
+            probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
+        system = el.make_bernoulli(probabilities / probabilities.sum())
+    f = _scan_partition(draw, rng, n)
+    g = _scan_partition(draw, rng, n) if times == 2 and draw(st.booleans()) else None
+    chunk = draw(st.sampled_from((1, 7, dynamical.SCAN_CHUNK)))
+    return system, f, g, times, chunk
+
+
 class TestCntSearch:
+    @settings(max_examples=30, deadline=None)
+    @given(scan_cases())
+    def test_scan_equals_identification_oracle(self, case):
+        system, f, g, times, chunk = case
+        parts = [f] if times == 1 else [f, el.evolve(system, f) if g is None else g]
+        with mock.patch.object(dynamical, "SCAN_CHUNK", chunk):
+            result = el.cnt_search(system, f, g, times=times, budget=0, seed=0)
+        best, label, witness, negative, count = identification_scan(
+            system.stationary, parts, system.n_states, times
+        )
+        assert result.best_value == best
+        assert result.witness_label == label
+        assert result.negative_identifications == negative
+        assert result.identifications == count == system.n_states ** (system.n_states * times)
+        assert result.witness.index_sizes == witness.index_sizes
+        assert np.array_equal(result.witness.weights, witness.weights)
+        assert np.array_equal(result.witness.components, witness.components)
+
+    @pytest.mark.parametrize("g_states", [2, 3])
+    def test_one_time_search_rejects_g(self, two_state_chain, blur_partition, g_states):
+        g = el.uniform_unsharp(g_states, 3)
+        with mock.patch.object(dynamical, "cnt_functional", side_effect=AssertionError):
+            with pytest.raises(ValidationError, match="one-time search"):
+                el.cnt_search(two_state_chain, blur_partition, g, times=1, budget=0, seed=0)
+
     def test_fixture_landscape(self, doubly_stochastic):
         part = el.sharp_partition([[0, 1], [2]], 3)
         result = el.cnt_search(doubly_stochastic, part, part, budget=50, seed=11)

@@ -3,16 +3,19 @@
 Every object that stores rows of probabilities is accepted exactly when each
 of its rows passes ``as_prob_vector``, plus the bound of its own call site.
 The matrices drawn here put entries within 2e-12 of 0 and of 1, row sums
-within 2e-9 of 1, and now and then a NaN or an infinity.
+within 2e-9 of 1, and now and then a NaN or an infinity.  A stack of
+decompositions checked at once is accepted exactly when each of its
+decompositions would be accepted alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
 from entropy_lab import ValidationError
-from entropy_lab.decompositions import Decomposition
+from entropy_lab.decompositions import Decomposition, _checked_stack
 from entropy_lab.entropy import CLAMP_TOL, as_prob_vector
 
 NEAR_ZERO = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12]) | st.floats(
@@ -111,3 +114,33 @@ def test_refine_afl_of_an_accepted_partition_is_accepted(args):
 def test_decomposition_accepts_exactly_valid_components(c):
     weights = np.full(c.shape[0], 1.0 / c.shape[0])
     assert accepted(Decomposition, weights, c) == rows_pass(c)
+
+
+@st.composite
+def decomposition_stacks(draw):
+    """Edge-row weights (m, K) and components (m, K, n) with index sizes of product K."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = draw(edge_rows(m, k))
+    components = draw(edge_rows(m * k, n)).reshape(m, k, n)
+    sizes = draw(st.sampled_from([(k,), (1, k), (k, 1)]))
+    return weights, components, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposition_stacks())
+def test_checked_stack_accepts_exactly_what_each_decomposition_accepts(stack):
+    weights, components, sizes = stack
+    each = all(
+        accepted(Decomposition, w, c, sizes) for w, c in zip(weights, components)
+    )
+    assert accepted(_checked_stack, weights, components, sizes) == each
+    if not each:
+        return
+    for row, dec in enumerate(_checked_stack(weights, components, sizes)):
+        alone = Decomposition(weights[row], components[row], sizes)
+        assert np.array_equal(dec.weights, alone.weights)
+        assert np.array_equal(dec.components, alone.components)
+        assert dec.index_sizes == alone.index_sizes
+        assert not dec.weights.flags.writeable and not dec.components.flags.writeable
+    with pytest.raises(ValidationError, match="index sizes"):
+        _checked_stack(weights, components, (weights.shape[1] + 1,))

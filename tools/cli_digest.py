@@ -8,7 +8,9 @@ are every command on every fixture system and partition in json, csv and
 table format, then every op that ``bench/workloads.generate`` builds for
 seeds 1-3, then the error paths: one run for each of exit codes 1-3,
 malformed numeric fields in documents, ``--out`` to a directory that
-does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``.
+does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``; last,
+the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
+have index sizes (1, 1) and which has one identification.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
 from; fixtures and workloads always come from this checkout, so two trees
 are compared with
@@ -17,8 +19,8 @@ are compared with
     python3 tools/cli_digest.py > this.txt
     diff other.txt this.txt
 
-``bench/`` is imported and never written to.  Workload and error-path
-documents are written to a temporary directory whose path is replaced by
+``bench/`` is imported and never written to.  Workload, error-path and
+degenerate-shape documents are written to a temporary directory whose path is replaced by
 ``<tmp>`` before hashing and printing.  An exception that escapes
 ``cli.main`` is hashed as its type and message in place of the exit code.
 """
@@ -47,6 +49,8 @@ ERROR_SYSTEMS = {
     "object_stationary": {"transition": [[1.0]], "stationary": {"a": 1}},
 }
 ERROR_PARTITIONS = {"text_response": {"response": [[0.5, "x"], [0.5, 0.5]]}}
+ONE_STATE_SYSTEM = {"transition": [[1.0]]}
+ONE_STATE_PARTITION = {"response": [[0.25, 0.75]]}
 
 
 def fixture_argvs():
@@ -89,6 +93,14 @@ def error_argvs(directory: Path):
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"]
 
 
+def degenerate_argvs(directory: Path):
+    """Runs on the smallest shapes, with their documents written to ``directory``."""
+    system, part = directory / "one_state.json", directory / "one_state_partition.json"
+    system.write_text(json.dumps(ONE_STATE_SYSTEM))
+    part.write_text(json.dumps(ONE_STATE_PARTITION))
+    yield ["cnt", "--system", str(system), "--partition", str(part), "--budget", "2", "--seed", "1"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding entropy_lab")
@@ -129,6 +141,10 @@ def main() -> int:
         directory = Path(tmp) / "errors"
         directory.mkdir()
         for argv in error_argvs(directory):
+            emit(argv, tmp)
+        directory = Path(tmp) / "degenerate"
+        directory.mkdir()
+        for argv in degenerate_argvs(directory):
             emit(argv, tmp)
     return 0
 
