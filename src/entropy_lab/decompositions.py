@@ -211,36 +211,48 @@ def to_densities(decomposition: Decomposition, mu):
     return PartitionOfUnity(response)
 
 
-def _other_axes(sizes: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return tuple(i for i in range(len(sizes)) if i != axis)
+def _other_axes(arity: int) -> list[tuple[int, ...]]:
+    """For each index axis, the other axes its marginal sums over."""
+    axes = tuple(range(arity))
+    return [axes[:axis] + axes[axis + 1 :] for axis in axes]
 
 
-def _axis_sums(decomposition: Decomposition) -> list[np.ndarray]:
+def _axis_sums(weights: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     """Weight sums of every index axis, neither pruned nor renormalized."""
-    sizes = decomposition.index_sizes
-    joint = decomposition.weights.reshape(sizes)
-    return [joint.sum(axis=_other_axes(sizes, axis)) for axis in range(len(sizes))]
+    joint = weights.reshape(sizes)
+    return [joint.sum(axis=other) for other in _other_axes(len(sizes))]
 
 
-def _marginal(
-    decomposition: Decomposition, axis: int, sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and components of ``multi_marginal`` from the axis' weight sums."""
-    sizes, w = decomposition.index_sizes, decomposition.weights
-    wc = (w[:, None] * decomposition.components).reshape(*sizes, decomposition.n_states)
-    keep = np.flatnonzero(sums > PRUNE_TOL)
-    if keep.size == 0:
-        raise ValidationError("marginal lost all its mass")
-    marg_w = sums[keep]
-    return marg_w / marg_w.sum(), wc.sum(axis=_other_axes(sizes, axis))[keep] / marg_w[:, None]
+def _marginals(
+    weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...], axis_sums
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Weights and components of every axis' ``multi_marginal``, from one product.
+
+    ``weights[:, None] * components`` is formed once and summed over the
+    other axes of each axis.  The indices whose weight sum is above
+    PRUNE_TOL are kept: their sums, renormalized, are the marginal weights,
+    and their summed products divided by the sums are the components.
+    """
+    wc = (weights[:, None] * components).reshape(*sizes, components.shape[1])
+    marginals = []
+    for other, sums in zip(_other_axes(len(sizes)), axis_sums):
+        summed = wc.sum(axis=other)
+        keep = sums > PRUNE_TOL
+        kept = np.count_nonzero(keep)
+        if kept == 0:
+            raise ValidationError("marginal lost all its mass")
+        if kept < sums.size:
+            sums, summed = sums[keep], summed[keep]
+        marginals.append((sums / sums.sum(), summed / sums[:, None]))
+    return marginals
 
 
-def _defect(weights: np.ndarray, axis_sums: list[np.ndarray]) -> float:
-    """``entropy_defect`` of the weights, from their ``_axis_sums``."""
+def _defect(sum_etas, weight_etas: np.ndarray) -> float:
+    """``entropy_defect`` from ``_eta`` of each axis' weight sums and of the weights."""
     total = 0.0
-    for sums in axis_sums:
-        total += float(_eta(sums).sum())
-    return total - float(_eta(weights).sum())
+    for etas in sum_etas:
+        total += float(etas.sum())
+    return total - float(weight_etas.sum())
 
 
 def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
@@ -252,8 +264,9 @@ def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
     """
     if not 0 <= axis < decomposition.arity:
         raise ValidationError(f"axis {axis} outside range(0, {decomposition.arity})")
-    sums = _axis_sums(decomposition)[axis]
-    return Decomposition(*_marginal(decomposition, axis, sums))
+    w, sizes = decomposition.weights, decomposition.index_sizes
+    marginals = _marginals(w, decomposition.components, sizes, _axis_sums(w, sizes))
+    return Decomposition(*marginals[axis])
 
 
 def entropy_defect(decomposition: Decomposition) -> float:
@@ -264,7 +277,8 @@ def entropy_defect(decomposition: Decomposition) -> float:
     up to floating point noise.  The weights were checked at construction,
     so the entropies sum the unchecked ``_eta`` directly.
     """
-    return _defect(decomposition.weights, _axis_sums(decomposition))
+    w = decomposition.weights
+    return _defect([_eta(sums) for sums in _axis_sums(w, decomposition.index_sizes)], _eta(w))
 
 
 def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATION_CAP):

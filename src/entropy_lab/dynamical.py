@@ -30,7 +30,7 @@ from .decompositions import (
     _checked_stack,
     _defect,
     _induced,
-    _marginal,
+    _marginals,
     trivial_decomposition,
 )
 from .entropy import _eta, as_prob_vector, relative_entropy_rows, von_neumann_entropy
@@ -102,22 +102,29 @@ def mutual_information(mu, decomposition: Decomposition, f) -> float:
     """
     muv = decomposition.check_recombines(mu)
     matrix = _response_of(f, muv.shape[0])
-    return _information(muv, decomposition.weights, decomposition.components, matrix)
+    base = muv @ matrix
+    outcome_rows = decomposition.components @ matrix
+    return _information(decomposition.weights, base, outcome_rows, _eta(base), _eta(outcome_rows))
 
 
 def _information(
-    muv: np.ndarray, weights: np.ndarray, components: np.ndarray, matrix: np.ndarray
+    weights: np.ndarray,
+    base: np.ndarray,
+    outcome_rows: np.ndarray,
+    base_etas: np.ndarray,
+    row_etas: np.ndarray,
 ) -> float:
-    """Both ``mutual_information`` forms, cross-checked, on inputs the caller checked."""
-    base = muv @ matrix
-    s_base = float(_eta(base).sum())
-    outcome_rows = components @ matrix
-    row_entropies = _eta(outcome_rows).sum(axis=1)
-    difference_form = s_base - float(weights @ row_entropies)
-    present = weights > 0.0
-    relative_form = float(
-        weights[present] @ relative_entropy_rows(outcome_rows[present], base)
-    )
+    """Both ``mutual_information`` forms, cross-checked, on arrays the caller checked.
+
+    ``base`` is the outcome law mu o f and ``outcome_rows`` the outcome law
+    of each component; ``base_etas`` and ``row_etas`` are their ``_eta``, in
+    the same shapes.  Returns the difference form.
+    """
+    difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
+    if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
+        present = weights > 0.0
+        weights, outcome_rows = weights[present], outcome_rows[present]
+    relative_form = float(weights @ relative_entropy_rows(outcome_rows, base))
     if abs(difference_form - relative_form) > MI_FORM_TOL:
         raise InequalityViolationError(
             "mutual information forms disagree: "
@@ -145,8 +152,9 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     sum_n I(marginal_n; partitions[n]) - (sum_n S(marginal weights) - S(weights)).
     The trivial decomposition gives exactly 0; the supremum over all
     decompositions defines the multi-time entropy of the partition family.
-    Each marginal's weight sums are computed once, for its information and
-    for the defect.
+    After one ``check_recombines`` of mu the value comes from one fused pass
+    over the checked arrays, equal float for float to the sum of the
+    marginals' ``mutual_information`` minus ``entropy_defect``.
     """
     parts = list(partitions)
     if len(parts) != decomposition.arity:
@@ -155,11 +163,42 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
         )
     muv = decomposition.check_recombines(mu)
     matrices = [_response_of(part, muv.shape[0]) for part in parts]
-    axis_sums = _axis_sums(decomposition)
+    return _cnt_value(
+        muv, decomposition.weights, decomposition.components, decomposition.index_sizes, matrices
+    )
+
+
+def _cnt_value(
+    muv: np.ndarray,
+    weights: np.ndarray,
+    components: np.ndarray,
+    sizes: tuple[int, ...],
+    matrices: list[np.ndarray],
+) -> float:
+    """``cnt_functional`` of checked arrays in one pass.
+
+    The marginals share one weighted product (``_marginals``), and one
+    ``_eta`` call covers every entropy argument: each axis' base law and
+    marginal outcome rows, each axis' weight sums and the joint weights.
+    Only this elementwise work is fused: every sum reduces a view of the
+    shape a separate ``_eta`` call would return, so each entropy is the
+    same float as when evaluated alone.
+    """
+    axis_sums = _axis_sums(weights, sizes)
+    marginals = _marginals(weights, components, sizes, axis_sums)
+    bases = [muv @ matrix for matrix in matrices]
+    rows = [marg_c @ matrix for (_, marg_c), matrix in zip(marginals, matrices)]
+    pieces = [*bases, *rows, *axis_sums, weights]
+    flat = _eta(np.concatenate(pieces, axis=None))
+    etas, start = [], 0
+    for piece in pieces:
+        etas.append(flat[start : start + piece.size].reshape(piece.shape))
+        start += piece.size
+    arity = len(sizes)
     total = 0.0
-    for axis, matrix in enumerate(matrices):
-        total += _information(muv, *_marginal(decomposition, axis, axis_sums[axis]), matrix)
-    return total - _defect(decomposition.weights, axis_sums)
+    for axis, (marg_w, _) in enumerate(marginals):
+        total += _information(marg_w, bases[axis], rows[axis], etas[axis], etas[arity + axis])
+    return total - _defect(etas[2 * arity : 3 * arity], etas[-1])
 
 
 def cnt_onetime(mu, f) -> float:

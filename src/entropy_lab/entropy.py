@@ -220,7 +220,8 @@ def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     support = rows > 0.0
     ratios = np.divide(rows, q, out=np.ones(rows.shape), where=support & (q > 0.0))
     values = (rows * np.log(ratios)).sum(axis=1)
-    values[(support & (q == 0.0)).any(axis=1)] = math.inf
+    if np.count_nonzero(q) < q.size:  # only a zero of q leaves mass outside its support
+        values[(support & (q == 0.0)).any(axis=1)] = math.inf
     return values
 
 

@@ -5,9 +5,10 @@ the code paths (and where possible the algorithms) of the package: the
 eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
 paths, the Markov block entropy uses its closed form, and word sampling
-gathers whole cumulative rows for every sample.  The identification scan
-of ``cnt_search`` is rebuilt one candidate at a time through the public
-``Decomposition`` and ``cnt_functional``.
+gathers whole cumulative rows for every sample.  The decomposition
+functional is summed by loops over the weight tensor, and the
+identification scan of ``cnt_search`` is rebuilt one candidate at a time
+through the public ``Decomposition`` and ``cnt_functional``.
 """
 
 from __future__ import annotations
@@ -165,6 +166,46 @@ def extremal_maximum(mu, f) -> float:
         value = shannon(joint.sum(axis=1)) + shannon(joint.sum(axis=0)) - shannon(joint)
         best = max(best, value)
     return best
+
+
+def cnt_value(mu, weights, components, sizes, matrices) -> float:
+    """Decomposition functional by explicit loops over the weight tensor.
+
+    For each index axis, index value i of the marginal has weight m_i, the
+    sum of the weights of every multi-index whose coordinate on that axis
+    is i, and outcome law sum w * (component @ matrix) over those
+    multi-indices, divided by m_i.  Indices of zero marginal weight are
+    skipped.  The axis contributes its information S(mu @ matrix) - sum_i
+    (m_i / sum m) S(law_i) and subtracts S(m) for the entropy defect; the
+    defect adds back S(weights) once.
+    """
+    mu = np.asarray(mu, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    components = np.asarray(components, dtype=float)
+    multi_indices = list(itertools.product(*(range(s) for s in sizes)))
+    value = shannon(weights)
+    for axis, matrix in enumerate(matrices):
+        matrix = np.asarray(matrix, dtype=float)
+        n_states, n_outcomes = matrix.shape
+        marginal = [0.0] * sizes[axis]
+        laws = [[0.0] * n_outcomes for _ in range(sizes[axis])]
+        for flat, index in enumerate(multi_indices):
+            i = index[axis]
+            marginal[i] += weights[flat]
+            for x in range(n_states):
+                for k in range(n_outcomes):
+                    laws[i][k] += weights[flat] * components[flat, x] * matrix[x, k]
+        base = [0.0] * n_outcomes
+        for x in range(n_states):
+            for k in range(n_outcomes):
+                base[k] += mu[x] * matrix[x, k]
+        mass = sum(m for m in marginal if m > 0.0)
+        information = shannon(base)
+        for i, m in enumerate(marginal):
+            if m > 0.0:
+                information -= (m / mass) * shannon([v / m for v in laws[i]])
+        value += information - shannon(marginal)
+    return value
 
 
 def identification_scan(mu, parts, n: int, times: int):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import entropy_lab as el
 from entropy_lab import CapExceededError, InequalityViolationError, ValidationError, dynamical
-from entropy_lab.decompositions import Decomposition
+from entropy_lab.decompositions import PRUNE_TOL, Decomposition
 from entropy_lab.dynamical import (
     DEFAULT_DIM_CAP,
     _identification_decomposition,
@@ -21,12 +21,14 @@ from entropy_lab.dynamical import (
 from conftest import random_partition, random_prob, random_system
 from oracles import (
     BELL_NUMBERS,
+    cnt_value,
     conditional_information,
     extremal_maximum,
     gram_state,
     identification_scan,
     markov_block_entropy,
     path_rho_afl,
+    shannon,
 )
 
 S_MU_CHAIN = 0.6365141682948128
@@ -208,6 +210,95 @@ class TestCntDecomposition:
             for axis in range(dec.arity)
         ) - el.entropy_defect(dec)
         assert el.cnt_functional(mu, dec, parts) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(cnt_cases())
+    def test_matches_loop_oracle(self, case):
+        mu, dec, parts = case
+        expected = cnt_value(
+            mu, dec.weights, dec.components, dec.index_sizes, [p.response for p in parts]
+        )
+        assert abs(el.cnt_functional(mu, dec, parts) - expected) <= 1e-12
+
+
+def _checked_cnt(mu, dec, parts) -> float:
+    """cnt_functional, asserted equal to the marginal identity and near the loop oracle."""
+    value = el.cnt_functional(mu, dec, parts)
+    identity = sum(
+        el.mutual_information(mu, el.multi_marginal(dec, axis), parts[axis])
+        for axis in range(dec.arity)
+    ) - el.entropy_defect(dec)
+    assert value == identity
+    oracle = cnt_value(
+        mu, dec.weights, dec.components, dec.index_sizes, [p.response for p in parts]
+    )
+    assert abs(value - oracle) <= 1e-12
+    return value
+
+
+class TestCntEdgeCases:
+    def test_weight_below_prune_tol_counts_in_defect_only(self):
+        # Index (1, 1) has weight 1e-16: the axis-1 marginal drops its index 1
+        # (weight sum 1e-16 <= PRUNE_TOL), while the defect keeps eta(1e-16)
+        # in the axis-1 sums and in the joint weights.
+        tiny = 1e-16
+        assert 0.0 < tiny <= PRUNE_TOL
+        mu = np.array([0.5, 0.5])
+        weights = [0.5, 0.0, 0.5 - tiny, tiny]
+        components = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
+        dec = Decomposition(weights, components, (2, 2))
+        assert el.multi_marginal(dec, 0).n_components == 2
+        assert el.multi_marginal(dec, 1).n_components == 1
+        # Leaving eta(1e-16) ~ 3.7e-15 out of the axis-1 sums would move it by more than 1e-15.
+        defect = shannon([0.5, 0.5]) + shannon([1.0 - tiny, tiny]) - shannon(weights)
+        assert abs(el.entropy_defect(dec) - defect) <= 1e-15
+        f = el.sharp_partition([[0], [1]], 2)
+        g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        _checked_cnt(mu, dec, [f, g])
+
+    def test_exact_zero_indices(self):
+        # Both maps miss outcomes: the joint and both marginals hold exact zeros.
+        mu = np.array([0.2, 0.3, 0.5])
+        dec = _identification_decomposition(mu, ((0, 0, 2), (1, 1, 1)), (3, 3))
+        assert np.count_nonzero(dec.weights) == 2
+        assert el.multi_marginal(dec, 0).n_components == 2
+        assert el.multi_marginal(dec, 1).n_components == 1
+        f = el.PartitionOfUnity([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+        g = el.sharp_partition([[0], [1], [2]], 3)
+        _checked_cnt(mu, dec, [f, g])
+
+    @pytest.mark.parametrize("outcomes", [(2, 3), (3, 2)])
+    def test_partitions_with_different_outcome_counts(self, outcomes):
+        rng = np.random.default_rng(83)
+        mu = random_prob(rng, 3)
+        response = rng.dirichlet(np.ones(6), size=3)
+        weights = mu @ response
+        components = (mu[None, :] * response.T) / weights[:, None]
+        dec = Decomposition(weights / weights.sum(), components, (2, 3))
+        parts = [random_partition(rng, 3, k) for k in outcomes]
+        _checked_cnt(mu, dec, parts)
+
+    def test_index_sizes_one_by_one(self):
+        mu = np.array([0.25, 0.75])
+        dec = el.trivial_decomposition(mu, 2)
+        assert dec.index_sizes == (1, 1)
+        f = el.sharp_partition([[0], [1]], 2)
+        g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        assert abs(_checked_cnt(mu, dec, [f, g])) <= 1e-15
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mass_outside_base_support_raises(self, axis):
+        # The component puts 1e-12 on a state mu gives no mass to: within the
+        # recombination tolerance, but the relative form of a sharp partition
+        # is infinite.  The totally mixing partition sees no difference.
+        mu = np.array([1.0, 0.0])
+        dec = Decomposition([1.0], [[1.0 - 1e-12, 1e-12]], (1, 1))
+        mixing = el.uniform_unsharp(2, 2)
+        assert abs(el.cnt_functional(mu, dec, [mixing, mixing])) <= 1e-12
+        parts = [mixing, mixing]
+        parts[axis] = el.sharp_partition([[0], [1]], 2)
+        with pytest.raises(InequalityViolationError, match="forms disagree"):
+            el.cnt_functional(mu, dec, parts)
 
 
 class TestCntOnetime:

@@ -10,7 +10,9 @@ seeds 1-3, then the error paths: one run for each of exit codes 1-3,
 malformed numeric fields in documents, ``--out`` to a directory that
 does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``; last,
 the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
-have index sizes (1, 1) and which has one identification.
+have index sizes (1, 1) and which has one identification, and ``cnt`` on a
+three-state system whose third state has stationary mass 1e-16, so that
+marginal weight sums fall in (0, PRUNE_TOL] and are pruned.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
 from; fixtures and workloads always come from this checkout, so two trees
 are compared with
@@ -51,6 +53,11 @@ ERROR_SYSTEMS = {
 ERROR_PARTITIONS = {"text_response": {"response": [[0.5, "x"], [0.5, 0.5]]}}
 ONE_STATE_SYSTEM = {"transition": [[1.0]]}
 ONE_STATE_PARTITION = {"response": [[0.25, 0.75]]}
+TINY_MASS_SYSTEM = {
+    "transition": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+    "stationary": [0.5, 0.4999999999999999, 1e-16],
+}
+TINY_MASS_PARTITION = {"response": [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]}
 
 
 def fixture_argvs():
@@ -99,6 +106,10 @@ def degenerate_argvs(directory: Path):
     system.write_text(json.dumps(ONE_STATE_SYSTEM))
     part.write_text(json.dumps(ONE_STATE_PARTITION))
     yield ["cnt", "--system", str(system), "--partition", str(part), "--budget", "2", "--seed", "1"]
+    system, part = directory / "tiny_mass.json", directory / "tiny_mass_partition.json"
+    system.write_text(json.dumps(TINY_MASS_SYSTEM))
+    part.write_text(json.dumps(TINY_MASS_PARTITION))
+    yield ["cnt", "--system", str(system), "--partition", str(part), "--budget", "3", "--seed", "1"]
 
 
 def main() -> int:
