@@ -238,11 +238,9 @@ def _marginals(
     for other, sums in zip(_other_axes(len(sizes)), axis_sums):
         summed = wc.sum(axis=other)
         keep = sums > PRUNE_TOL
-        kept = np.count_nonzero(keep)
-        if kept == 0:
+        sums, summed = sums[keep], summed[keep]
+        if sums.size == 0:
             raise ValidationError("marginal lost all its mass")
-        if kept < sums.size:
-            sums, summed = sums[keep], summed[keep]
         marginals.append((sums / sums.sum(), summed / sums[:, None]))
     return marginals
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
@@ -200,9 +200,65 @@ def cnt_cases(draw):
     return mu, dec, parts
 
 
+def _prune_case():
+    # Index (1, 1) has weight 1e-16 <= PRUNE_TOL: the axis-1 marginal drops
+    # it, while the defect keeps its eta in the axis-1 sums and the joint.
+    mu = np.array([0.5, 0.5])
+    weights = [0.5, 0.0, 0.5 - 1e-16, 1e-16]
+    components = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
+    dec = Decomposition(weights, components, (2, 2))
+    g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+    return mu, dec, [el.sharp_partition([[0], [1]], 2), g]
+
+
+def _zero_index_case():
+    # Both maps miss outcomes: the joint and both marginals hold exact zeros.
+    mu = np.array([0.2, 0.3, 0.5])
+    dec = _identification_decomposition(mu, ((0, 0, 2), (1, 1, 1)), (3, 3))
+    f = el.PartitionOfUnity([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+    return mu, dec, [f, el.sharp_partition([[0], [1], [2]], 3)]
+
+
+def _outcome_case(outcomes):
+    # f and g with different outcome counts on a (2, 3) density decomposition.
+    rng = np.random.default_rng(83)
+    mu = random_prob(rng, 3)
+    response = rng.dirichlet(np.ones(6), size=3)
+    weights = mu @ response
+    components = (mu[None, :] * response.T) / weights[:, None]
+    dec = Decomposition(weights / weights.sum(), components, (2, 3))
+    return mu, dec, [random_partition(rng, 3, k) for k in outcomes]
+
+
+def _one_by_one_case():
+    mu = np.array([0.25, 0.75])
+    g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+    return mu, el.trivial_decomposition(mu, 2), [el.sharp_partition([[0], [1]], 2), g]
+
+
+PRUNE_CASE = _prune_case()
+ZERO_INDEX_CASE = _zero_index_case()
+ONE_BY_ONE_CASE = _one_by_one_case()
+CNT_EDGE_CASES = (
+    PRUNE_CASE,
+    ZERO_INDEX_CASE,
+    _outcome_case((2, 3)),
+    _outcome_case((3, 2)),
+    ONE_BY_ONE_CASE,
+)
+
+
+def _with_edge_cases(test):
+    """Run a ``cnt_cases`` test on every CNT_EDGE_CASES input as well."""
+    for case in CNT_EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
 class TestCntDecomposition:
     @settings(max_examples=120, deadline=None)
     @given(cnt_cases())
+    @_with_edge_cases
     def test_equals_marginal_information_minus_defect(self, case):
         mu, dec, parts = case
         expected = sum(
@@ -213,6 +269,7 @@ class TestCntDecomposition:
 
     @settings(max_examples=120, deadline=None)
     @given(cnt_cases())
+    @_with_edge_cases
     def test_matches_loop_oracle(self, case):
         mu, dec, parts = case
         expected = cnt_value(
@@ -221,70 +278,27 @@ class TestCntDecomposition:
         assert abs(el.cnt_functional(mu, dec, parts) - expected) <= 1e-12
 
 
-def _checked_cnt(mu, dec, parts) -> float:
-    """cnt_functional, asserted equal to the marginal identity and near the loop oracle."""
-    value = el.cnt_functional(mu, dec, parts)
-    identity = sum(
-        el.mutual_information(mu, el.multi_marginal(dec, axis), parts[axis])
-        for axis in range(dec.arity)
-    ) - el.entropy_defect(dec)
-    assert value == identity
-    oracle = cnt_value(
-        mu, dec.weights, dec.components, dec.index_sizes, [p.response for p in parts]
-    )
-    assert abs(value - oracle) <= 1e-12
-    return value
-
-
 class TestCntEdgeCases:
     def test_weight_below_prune_tol_counts_in_defect_only(self):
-        # Index (1, 1) has weight 1e-16: the axis-1 marginal drops its index 1
-        # (weight sum 1e-16 <= PRUNE_TOL), while the defect keeps eta(1e-16)
-        # in the axis-1 sums and in the joint weights.
-        tiny = 1e-16
+        _, dec, _ = PRUNE_CASE
+        tiny = dec.weights[3]
         assert 0.0 < tiny <= PRUNE_TOL
-        mu = np.array([0.5, 0.5])
-        weights = [0.5, 0.0, 0.5 - tiny, tiny]
-        components = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
-        dec = Decomposition(weights, components, (2, 2))
         assert el.multi_marginal(dec, 0).n_components == 2
         assert el.multi_marginal(dec, 1).n_components == 1
         # Leaving eta(1e-16) ~ 3.7e-15 out of the axis-1 sums would move it by more than 1e-15.
-        defect = shannon([0.5, 0.5]) + shannon([1.0 - tiny, tiny]) - shannon(weights)
+        defect = shannon([0.5, 0.5]) + shannon([1.0 - tiny, tiny]) - shannon(dec.weights)
         assert abs(el.entropy_defect(dec) - defect) <= 1e-15
-        f = el.sharp_partition([[0], [1]], 2)
-        g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-        _checked_cnt(mu, dec, [f, g])
 
-    def test_exact_zero_indices(self):
-        # Both maps miss outcomes: the joint and both marginals hold exact zeros.
-        mu = np.array([0.2, 0.3, 0.5])
-        dec = _identification_decomposition(mu, ((0, 0, 2), (1, 1, 1)), (3, 3))
+    def test_zero_index_case_prunes_both_axes(self):
+        _, dec, _ = ZERO_INDEX_CASE
         assert np.count_nonzero(dec.weights) == 2
         assert el.multi_marginal(dec, 0).n_components == 2
         assert el.multi_marginal(dec, 1).n_components == 1
-        f = el.PartitionOfUnity([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
-        g = el.sharp_partition([[0], [1], [2]], 3)
-        _checked_cnt(mu, dec, [f, g])
-
-    @pytest.mark.parametrize("outcomes", [(2, 3), (3, 2)])
-    def test_partitions_with_different_outcome_counts(self, outcomes):
-        rng = np.random.default_rng(83)
-        mu = random_prob(rng, 3)
-        response = rng.dirichlet(np.ones(6), size=3)
-        weights = mu @ response
-        components = (mu[None, :] * response.T) / weights[:, None]
-        dec = Decomposition(weights / weights.sum(), components, (2, 3))
-        parts = [random_partition(rng, 3, k) for k in outcomes]
-        _checked_cnt(mu, dec, parts)
 
     def test_index_sizes_one_by_one(self):
-        mu = np.array([0.25, 0.75])
-        dec = el.trivial_decomposition(mu, 2)
+        mu, dec, parts = ONE_BY_ONE_CASE
         assert dec.index_sizes == (1, 1)
-        f = el.sharp_partition([[0], [1]], 2)
-        g = el.PartitionOfUnity([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-        assert abs(_checked_cnt(mu, dec, [f, g])) <= 1e-15
+        assert abs(el.cnt_functional(mu, dec, parts)) <= 1e-15
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_mass_outside_base_support_raises(self, axis):
