@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, partitions=True)
     p.add_argument("--nmax", type=int, default=4)
 
-    p = sub.add_parser("cnt", help="decomposition-functional search over two times")
+    p = sub.add_parser("cnt", help="two-time decomposition-functional search")
     common(p, partitions=True)
-    p.add_argument("--budget", type=int, default=200, help="random decompositions to try")
+    p.add_argument("--budget", type=int, default=200, help="random decompositions after the scan")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
@@ -320,14 +320,8 @@ def cmd_cnt(args, threads):
         "identifications": result.identifications,
         "random_trials": result.random_trials,
     }
-    uniform_sizes = len(set(witness.index_sizes)) == 1
     rows = [
-        (
-            str(word_from_code(i, witness.index_sizes[0], witness.arity))
-            if uniform_sizes
-            else str(i),
-            float(w),
-        )
+        (str(word_from_code(i, witness.index_sizes[0], witness.arity)), float(w))
         for i, w in enumerate(witness.weights)
         if w > 0.0
     ]

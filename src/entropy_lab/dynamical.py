@@ -38,6 +38,7 @@ from .partitions import (
     DEFAULT_WORD_CAP,
     PartitionOfUnity,
     RefinedPartition,
+    _response_of,
     evolve,
     refine_afl,
     sharp_partition,
@@ -46,9 +47,9 @@ from .systems import StochasticSystem
 
 DEFAULT_DIM_CAP = 2048
 MI_FORM_TOL = 1e-9
-# Map tuples per stacked build of identification decompositions.  Chunks
-# bound the memory: one stack of all 65 536 tuples at n = 4 peaks at 161 MB
-# RSS, chunks of 256 at 36 MB, in the same time.
+# Candidates per stacked build of the cnt search, for both families.  Chunks
+# bound the memory: one stack of all 65 536 map tuples at n = 4 peaks at
+# 161 MB RSS, chunks of 256 at 36 MB, in the same time.
 SCAN_CHUNK = 256
 
 __all__ = [
@@ -77,19 +78,6 @@ class EntropyKind(enum.Enum):
     MAK = "mak"
     AFL = "afl"
     KOW = "kow"
-
-
-def _response_of(f, n_states: int) -> np.ndarray:
-    """Response matrix of a partition or refinement over n_states states."""
-    if isinstance(f, RefinedPartition):
-        matrix = f.elements
-    elif isinstance(f, PartitionOfUnity):
-        matrix = f.response
-    else:
-        raise ValidationError(f"expected a partition, got {type(f).__name__}")
-    if matrix.shape[0] != n_states:
-        raise ValidationError("measure and partition sizes differ")
-    return matrix
 
 
 def mutual_information(mu, decomposition: Decomposition, f) -> float:
@@ -223,30 +211,49 @@ class CntSearchResult:
     identifications: int
     random_trials: int
 
-    @property
-    def evaluations(self) -> int:
-        return 1 + self.identifications + self.random_trials
 
+def _induced_stack(mu, responses: np.ndarray, sizes) -> list[Decomposition]:
+    """Multi-index decompositions, one per response matrix of a stack.
 
-def _identification_decompositions(mu, codes: np.ndarray, sizes) -> list[Decomposition]:
-    """Multi-index decompositions, one per row of joint codes (m, states).
-
-    Row i sends state x to the flat multi-index ``codes[i, x]`` of one
-    outcome map per time index.  The joint weight of a multi-index is the
-    mass of the intersection of the level sets; components are normalized
-    restrictions of mu.  Indices with zero mass keep weight 0 and carry mu
-    as a placeholder component.  The stack is built by one ``_induced``
-    call and checked once.
+    ``responses`` is (m, states, cells) with cells = prod(sizes), the flat
+    multi-index in C order.  Row i is the decomposition that response i
+    induces: weights mu(g_a), normalized per row, and components the
+    normalized restrictions of mu.  Indices with zero mass keep weight 0 and
+    carry mu as a placeholder component.  The stack is built by one
+    ``_induced`` call and checked once.
     """
-    weights, components = _induced(mu, np.eye(math.prod(sizes))[codes])
+    weights, components = _induced(mu, responses)
     return _checked_stack(weights / weights.sum(axis=1, keepdims=True), components, sizes)
 
 
 def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
     """The identification decomposition of one outcome map per time index."""
     codes = np.ravel_multi_index(assignments, sizes)
-    (decomposition,) = _identification_decompositions(mu, codes[None, :], sizes)
+    (decomposition,) = _induced_stack(mu, np.eye(math.prod(sizes))[codes[None, :]], sizes)
     return decomposition
+
+
+def _candidates(mu, n: int, budget: int, seed: int):
+    """Chunks ``(family, keys, decompositions)`` of the two-time search, in scan order.
+
+    First every identification decomposition, keyed by its pair of maps
+    range(n) -> range(n) in lexicographic order; then ``budget`` random
+    decompositions, keyed by trial number, each induced by n Dirichlet rows
+    over the n * n cells from ``SeedSequence(seed)``.  Each chunk holds at
+    most ``SCAN_CHUNK`` candidates, built by one ``_induced_stack`` call.
+    """
+    sizes = (n, n)
+    one_hot = np.eye(n * n)
+    single_maps = list(itertools.product(range(n), repeat=n))
+    map_pairs = itertools.product(single_maps, repeat=2)
+    while chunk := list(itertools.islice(map_pairs, SCAN_CHUNK)):
+        codes = np.ravel_multi_index(tuple(np.array(chunk).transpose(1, 0, 2)), sizes)
+        yield "identification", chunk, _induced_stack(mu, one_hot[codes], sizes)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for start in range(0, budget, SCAN_CHUNK):
+        trials = range(start, min(start + SCAN_CHUNK, budget))
+        draws = rng.dirichlet(np.ones(n * n), size=(len(trials), n))
+        yield "random", trials, _induced_stack(mu, draws, sizes)
 
 
 def cnt_search(
@@ -254,87 +261,62 @@ def cnt_search(
     f: PartitionOfUnity,
     g: PartitionOfUnity | None = None,
     *,
-    times: int = 2,
     budget: int = 200,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CntSearchResult:
-    """Search decompositions for the multi-time functional of (f, g).
+    """Search decompositions for the two-time functional of (f, g).
 
-    The second partition defaults to the evolved copy of the first; it
-    cannot be given for a one-time search.  Three candidate families are
-    scanned deterministically: the trivial decomposition, every
-    identification decomposition (one outcome map per time index, alphabet
-    size = number of states), and ``budget`` random density decompositions
-    drawn from a seeded generator.  Because the functional is not concave
-    for two or more times, identification values can be negative; the
-    search reports how many were.
+    The second partition defaults to the evolved copy of the first.  The
+    one-time supremum has a closed form, which ``cnt_onetime`` returns.
+    Three candidate families are scanned deterministically: the trivial
+    decomposition, every identification decomposition (one outcome map
+    per time index, alphabet size = number of states), and ``budget``
+    random density decompositions drawn from a seeded generator.  Because
+    the functional is not concave for two or more times, identification
+    values can be negative; the search reports how many were.
 
-    The identification maps are walked in lexicographic order, in chunks of
-    at most ``SCAN_CHUNK`` map tuples.  Each chunk is built as one stack and
-    validated once; every candidate then gets one ``cnt_functional`` call,
-    and a later candidate replaces the witness only when its value is
-    strictly larger.
+    Both stacked families come from ``_candidates``, in chunks of at most
+    ``SCAN_CHUNK`` decompositions, each built as one stack and validated
+    once.  Every candidate gets one ``cnt_functional`` call, and a later
+    candidate replaces the witness only when its value is strictly larger.
     """
-    if times < 1:
-        raise ValidationError("times must be >= 1")
     if budget < 0:
         raise ValidationError("budget must be >= 0")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    if times == 1:
-        if g is not None:
-            raise ValidationError("a one-time search takes one partition, but g was given")
-        parts = [f]
-    elif times == 2:
-        parts = [f, g if g is not None else evolve(system, f)]
-    else:
-        raise ValidationError("only one- and two-time searches are supported")
+    parts = [f, g if g is not None else evolve(system, f)]
     for p in parts:
         if p.n_states != system.n_states:
             raise ValidationError("partition does not match the system's state count")
     mu = system.stationary
     n = system.n_states
-    sizes = (n,) * times
 
-    best_witness = trivial_decomposition(mu, times)
+    best_witness = trivial_decomposition(mu, 2)
     best_value = cnt_functional(mu, best_witness, parts)
     best_label = "trivial"
 
-    map_count = n ** (n * times)
+    map_count = n ** (2 * n)
     if map_count > cap:
         raise CapExceededError(
             f"identification enumeration would visit {map_count} map tuples, cap is {cap}"
         )
     negative = 0
-    identifications = 0
-    single_maps = list(itertools.product(range(n), repeat=n))
-    map_tuples = itertools.product(single_maps, repeat=times)
-    while chunk := list(itertools.islice(map_tuples, SCAN_CHUNK)):
-        codes = np.ravel_multi_index(tuple(np.array(chunk).transpose(1, 0, 2)), sizes)
-        for assignments, dec in zip(chunk, _identification_decompositions(mu, codes, sizes)):
+    for family, keys, decompositions in _candidates(mu, n, budget, seed):
+        counts_negative = family == "identification"
+        for key, dec in zip(keys, decompositions):
             value = cnt_functional(mu, dec, parts)
-            identifications += 1
-            if value < -MI_FORM_TOL:
+            if counts_negative and value < -MI_FORM_TOL:
                 negative += 1
             if value > best_value:
-                best_value, best_witness, best_label = value, dec, f"identification:{assignments}"
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total = math.prod(sizes)
-    for trial in range(budget):
-        weights, components = _induced(mu, rng.dirichlet(np.ones(total), size=n))
-        dec = Decomposition(weights / weights.sum(), components, sizes)
-        value = cnt_functional(mu, dec, parts)
-        if value > best_value:
-            best_value, best_witness, best_label = value, dec, f"random:{trial}"
+                best_value, best_witness, best_label = value, dec, f"{family}:{key}"
 
     return CntSearchResult(
         best_value=best_value,
         witness=best_witness,
         witness_label=best_label,
         negative_identifications=negative,
-        identifications=identifications,
+        identifications=map_count,
         random_trials=budget,
     )
 

@@ -286,18 +286,28 @@ def word_probability(system: StochasticSystem, f: PartitionOfUnity, word) -> flo
     return float(system.stationary @ g)
 
 
+def _response_of(f, n_states: int | None = None) -> np.ndarray:
+    """Response matrix of a partition or refinement, over n_states states if given."""
+    if isinstance(f, RefinedPartition):
+        matrix = f.elements
+    elif isinstance(f, PartitionOfUnity):
+        matrix = f.response
+    else:
+        raise ValidationError(f"expected a partition, got {type(f).__name__}")
+    if n_states is not None and matrix.shape[0] != n_states:
+        raise ValidationError("measure and partition sizes differ")
+    return matrix
+
+
 def distribution(mu, f) -> np.ndarray:
     """Outcome distribution mu(f_k) of a partition or refinement under mu."""
-    matrix = f.elements if isinstance(f, RefinedPartition) else f.response
     muv = as_prob_vector(mu, "mu")
-    if muv.shape[0] != matrix.shape[0]:
-        raise ValidationError("measure and partition sizes differ")
-    return as_prob_vector(muv @ matrix, "outcome distribution")
+    return as_prob_vector(muv @ _response_of(f, muv.shape[0]), "outcome distribution")
 
 
 def point_distribution(f, x: int) -> np.ndarray:
     """Outcome distribution of a single state: row x of the response matrix."""
-    matrix = f.elements if isinstance(f, RefinedPartition) else f.response
+    matrix = _response_of(f)
     if x < 0 or x >= matrix.shape[0]:
         raise ValidationError(f"state index {x} outside range(0, {matrix.shape[0]})")
     return matrix[x].copy()

@@ -6,9 +6,9 @@ eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
 paths, the Markov block entropy uses its closed form, and word sampling
 gathers whole cumulative rows for every sample.  The decomposition
-functional is summed by loops over the weight tensor, and the
-identification scan of ``cnt_search`` is rebuilt one candidate at a time
-through the public ``Decomposition`` and ``cnt_functional``.
+functional is summed by loops over the weight tensor, and ``cnt_search``
+is rebuilt one candidate at a time through the public ``Decomposition``
+and ``cnt_functional``.
 """
 
 from __future__ import annotations
@@ -208,37 +208,54 @@ def cnt_value(mu, weights, components, sizes, matrices) -> float:
     return value
 
 
-def identification_scan(mu, parts, n: int, times: int):
-    """The trivial and identification part of ``cnt_search``, one candidate at a time.
+def induced_decomposition(mu, response, sizes) -> Decomposition:
+    """Public ``Decomposition`` that one response matrix (states x cells) induces.
 
-    For every tuple of maps range(n) -> range(n), one per time and in
-    lexicographic order, the one-hot response of the joint codes gives the
-    weights ``mu @ response`` and the components mu * g_a / mu(g_a) (mu
-    itself for a cell of zero mass), and a public ``Decomposition`` of the
-    normalized weights is evaluated by ``cnt_functional``.  A candidate
-    replaces the witness only with a strictly larger value.  Returns
-    (best_value, witness_label, witness, negative_identifications,
-    identifications).
+    Weights ``mu @ response``, normalized; components mu * g_a / mu(g_a),
+    or mu itself for a cell of zero mass.
     """
-    sizes = (n,) * times
-    cells = n**times
-    witness = trivial_decomposition(mu, times)
+    weights = mu @ response
+    components = np.array(
+        [
+            mu * response[:, a] / weights[a] if weights[a] > 0.0 else mu
+            for a in range(response.shape[1])
+        ]
+    )
+    return Decomposition(weights / weights.sum(), components, sizes)
+
+
+def identification_scan(mu, parts, n: int, budget: int, seed: int):
+    """``cnt_search`` of two partitions, one candidate at a time.
+
+    For every pair of maps range(n) -> range(n), in lexicographic order,
+    the one-hot response of the joint codes induces a public
+    ``Decomposition``, evaluated by ``cnt_functional``.  Then ``budget``
+    random trials follow, each from one ``rng.dirichlet(..., size=n)`` draw
+    of ``default_rng(SeedSequence(seed))``.  A candidate replaces the
+    witness only with a strictly larger value.  Returns (best_value,
+    witness_label, witness, negative_identifications, identifications).
+    """
+    sizes = (n, n)
+    cells = n * n
+    witness = trivial_decomposition(mu, 2)
     best, label = cnt_functional(mu, witness, parts), "trivial"
     negative = identifications = 0
     single_maps = list(itertools.product(range(n), repeat=n))
-    for assignments in itertools.product(single_maps, repeat=times):
+    for assignments in itertools.product(single_maps, repeat=2):
         response = np.eye(cells)[np.ravel_multi_index(assignments, sizes)]
-        weights = mu @ response
-        components = np.array(
-            [mu * response[:, a] / weights[a] if weights[a] > 0.0 else mu for a in range(cells)]
-        )
-        dec = Decomposition(weights / weights.sum(), components, sizes)
+        dec = induced_decomposition(mu, response, sizes)
         value = cnt_functional(mu, dec, parts)
         identifications += 1
         if value < -MI_FORM_TOL:
             negative += 1
         if value > best:
             best, label, witness = value, f"identification:{assignments}", dec
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for trial in range(budget):
+        dec = induced_decomposition(mu, rng.dirichlet(np.ones(cells), size=n), sizes)
+        value = cnt_functional(mu, dec, parts)
+        if value > best:
+            best, label, witness = value, f"random:{trial}", dec
     return best, label, witness, negative, identifications
 
 

@@ -26,6 +26,7 @@ from oracles import (
     extremal_maximum,
     gram_state,
     identification_scan,
+    induced_decomposition,
     markov_block_entropy,
     path_rho_afl,
     shannon,
@@ -351,15 +352,15 @@ def _scan_partition(draw, rng, n):
 
 @st.composite
 def scan_cases(draw):
-    """A system, f, an optional g, the number of times and a scan chunk size.
+    """A system, f, an optional g, a random budget and seed, and a scan chunk size.
 
     Chains are dense, sparse (a cycle plus one random jump per state),
     deterministic (a permutation), periodic (period 2 when n > 1) or
     independent with one stationary mass of 1e-9 or 1e-13.  g is either
-    left to default to theta f or drawn like f.
+    left to default to theta f or drawn like f.  Budgets of 8 and 15 split
+    the random family across chunks of 1 and 7.
     """
     n = draw(st.integers(1, 3))
-    times = draw(st.sampled_from((1, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     chain = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny")))
     if chain == "dense":
@@ -384,36 +385,50 @@ def scan_cases(draw):
             probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
         system = el.make_bernoulli(probabilities / probabilities.sum())
     f = _scan_partition(draw, rng, n)
-    g = _scan_partition(draw, rng, n) if times == 2 and draw(st.booleans()) else None
+    g = _scan_partition(draw, rng, n) if draw(st.booleans()) else None
+    budget = draw(st.sampled_from((0, 1, 8, 15)))
+    seed = draw(st.integers(0, 2**31 - 1))
     chunk = draw(st.sampled_from((1, 7, dynamical.SCAN_CHUNK)))
-    return system, f, g, times, chunk
+    return system, f, g, budget, seed, chunk
 
 
 class TestCntSearch:
     @settings(max_examples=30, deadline=None)
     @given(scan_cases())
     def test_scan_equals_identification_oracle(self, case):
-        system, f, g, times, chunk = case
-        parts = [f] if times == 1 else [f, el.evolve(system, f) if g is None else g]
+        system, f, g, budget, seed, chunk = case
+        parts = [f, el.evolve(system, f) if g is None else g]
         with mock.patch.object(dynamical, "SCAN_CHUNK", chunk):
-            result = el.cnt_search(system, f, g, times=times, budget=0, seed=0)
+            result = el.cnt_search(system, f, g, budget=budget, seed=seed)
         best, label, witness, negative, count = identification_scan(
-            system.stationary, parts, system.n_states, times
+            system.stationary, parts, system.n_states, budget, seed
         )
         assert result.best_value == best
         assert result.witness_label == label
         assert result.negative_identifications == negative
-        assert result.identifications == count == system.n_states ** (system.n_states * times)
+        assert result.identifications == count == system.n_states ** (2 * system.n_states)
+        assert result.random_trials == budget
         assert result.witness.index_sizes == witness.index_sizes
         assert np.array_equal(result.witness.weights, witness.weights)
         assert np.array_equal(result.witness.components, witness.components)
 
-    @pytest.mark.parametrize("g_states", [2, 3])
-    def test_one_time_search_rejects_g(self, two_state_chain, blur_partition, g_states):
-        g = el.uniform_unsharp(g_states, 3)
-        with mock.patch.object(dynamical, "cnt_functional", side_effect=AssertionError):
-            with pytest.raises(ValidationError, match="one-time search"):
-                el.cnt_search(two_state_chain, blur_partition, g, times=1, budget=0, seed=0)
+    @pytest.mark.parametrize("chunk", [1, 7, dynamical.SCAN_CHUNK])
+    def test_random_family_equals_per_trial_draws(self, doubly_stochastic, chunk):
+        mu = doubly_stochastic.stationary
+        with mock.patch.object(dynamical, "SCAN_CHUNK", chunk):
+            trials = [
+                (key, dec)
+                for family, keys, decompositions in dynamical._candidates(mu, 3, 15, 9)
+                if family == "random"
+                for key, dec in zip(keys, decompositions)
+            ]
+        assert [key for key, _ in trials] == list(range(15))
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        for _, dec in trials:
+            expected = induced_decomposition(mu, rng.dirichlet(np.ones(9), size=3), (3, 3))
+            assert dec.index_sizes == expected.index_sizes
+            assert np.array_equal(dec.weights, expected.weights)
+            assert np.array_equal(dec.components, expected.components)
 
     def test_fixture_landscape(self, doubly_stochastic):
         part = el.sharp_partition([[0, 1], [2]], 3)
@@ -430,13 +445,6 @@ class TestCntSearch:
         assert a.best_value == b.best_value
         assert a.witness_label == b.witness_label
         assert np.array_equal(a.witness.weights, b.witness.weights)
-
-    def test_single_time_matches_closed_form(self, two_state_chain, blur_partition):
-        result = el.cnt_search(
-            two_state_chain, blur_partition, times=1, budget=40, seed=2
-        )
-        closed = el.hud_functional(two_state_chain.stationary, blur_partition)
-        assert result.best_value == pytest.approx(closed, abs=1e-9)
 
     def test_default_second_partition_is_evolved(self, two_state_chain, blur_partition):
         explicit = el.cnt_search(

@@ -250,6 +250,18 @@ class TestDistributions:
         with pytest.raises(ValidationError):
             el.distribution([1 / 3, 1 / 3, 1 / 3], blur_partition)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: el.distribution([0.5, 0.5], np.eye(2)),
+            lambda: el.point_distribution(np.eye(2), 0),
+        ],
+        ids=["distribution", "point_distribution"],
+    )
+    def test_rejects_a_bare_matrix(self, call):
+        with pytest.raises(ValidationError, match="expected a partition, got ndarray"):
+            call()
+
 
 class TestSimpleDecomposition:
     def test_groups_identical_rows(self):

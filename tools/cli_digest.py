@@ -12,7 +12,9 @@ does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``; last,
 the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
 have index sizes (1, 1) and which has one identification, and ``cnt`` on a
 three-state system whose third state has stationary mass 1e-16, so that
-marginal weight sums fall in (0, PRUNE_TOL] and are pruned.
+marginal weight sums fall in (0, PRUNE_TOL] and are pruned, and ``cnt``
+with ``--budget 300`` on the two-state chain, whose random trials span two
+chunks of ``SCAN_CHUNK`` (256) candidates.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
 from; fixtures and workloads always come from this checkout, so two trees
 are compared with
@@ -101,7 +103,10 @@ def error_argvs(directory: Path):
 
 
 def degenerate_argvs(directory: Path):
-    """Runs on the smallest shapes, with their documents written to ``directory``."""
+    """Runs on the smallest shapes and on a random family that spans chunks.
+
+    Documents are written to ``directory``.
+    """
     system, part = directory / "one_state.json", directory / "one_state_partition.json"
     system.write_text(json.dumps(ONE_STATE_SYSTEM))
     part.write_text(json.dumps(ONE_STATE_PARTITION))
@@ -110,6 +115,7 @@ def degenerate_argvs(directory: Path):
     system.write_text(json.dumps(TINY_MASS_SYSTEM))
     part.write_text(json.dumps(TINY_MASS_PARTITION))
     yield ["cnt", "--system", str(system), "--partition", str(part), "--budget", "3", "--seed", "1"]
+    yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "300", "--seed", "4"]
 
 
 def main() -> int:
