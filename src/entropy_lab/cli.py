@@ -2,8 +2,11 @@
 
     entropy-lab <command> --system SYSTEM.json [options]
 
-Commands: validate, rate, compare, cnt, sample, sup, report.  Exit codes:
-0 success, 1 usage or document error, 2 validation error, 3 a resource cap
+Commands: validate, rate, compare, cnt, sample, sup, report.  Each takes
+--system, --format and --out, plus only the settings it reads, which its JSON
+``config`` block echoes: --units (rate, compare, cnt, sup, report), --word-cap
+(rate, compare, sample, sup, report), --dim-cap (rate, compare, sup, report).
+Exit codes: 0 success, 1 usage or document error, 2 validation error, 3 a cap
 truncated the computation, 4 an internal entropy inequality was violated.
 """
 
@@ -77,19 +80,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entropy-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, *, partitions=False):
+    def common(p, *settings, partitions=False):
         p.add_argument("--system", required=True, help="system document (JSON)")
         if partitions:
             p.add_argument(
                 "--partition",
                 action="append",
-                default=[],
+                dest="partitions",
+                metavar="PARTITION",
                 help="partition document (JSON); repeatable where noted",
             )
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--units", choices=("nats", "bits"), default="nats")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--word-cap", type=int, default=DEFAULT_WORD_CAP)
+        for add in settings:
+            add(p)
+
+    def units(p):
+        p.add_argument("--units", choices=("nats", "bits"), default="nats")
+
+    def word_cap(p):
+        p.add_argument("--word-cap", type=int, default=DEFAULT_WORD_CAP, help="most words k^N")
+
+    def dim_cap(p):
         p.add_argument(
             "--dim-cap",
             type=int,
@@ -101,62 +113,57 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, partitions=True)
 
     p = sub.add_parser("rate", help="entropy sequence and rate estimate of one kind")
-    common(p, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=True)
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--nmax", type=int, default=8)
 
     p = sub.add_parser("compare", help="all entropy kinds side by side with ordering checks")
-    common(p, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=True)
     p.add_argument("--nmax", type=int, default=4)
 
     p = sub.add_parser("cnt", help="two-time decomposition-functional search")
-    common(p, partitions=True)
+    common(p, units, partitions=True)
     p.add_argument("--budget", type=int, default=200, help="random decompositions after the scan")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = sub.add_parser("sample", help="Monte Carlo word sampling against the analytic law")
-    common(p, partitions=True)
+    common(p, word_cap, partitions=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("sup", help="maximize the rate estimate over sharp partitions")
-    common(p)
+    common(p, units, word_cap, dim_cap)
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--cell-budget", type=int, default=None)
 
     p = sub.add_parser("report", help="full document: summaries, sequences, estimates")
-    common(p, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=True)
     p.add_argument("--nmax", type=int, default=4)
 
     return parser
 
 
 def _load_partitions(args, system, *, least: int, most: int):
-    paths = list(args.partition)
+    paths = args.partitions or []
     if not least <= len(paths) <= most:
         expected = str(least) if least == most else f"{least}..{most}"
         raise _UsageError(f"{args.command} takes {expected} --partition arguments")
     return [load_partition(p, system) for p in paths]
 
 
-def _config_doc(args, threads: int) -> dict:
-    doc = {
-        "version": __version__,
-        "threads": threads,
-        "word_cap": args.word_cap,
-        "dim_cap": args.dim_cap,
-        "units": args.units,
-        "system": args.system,
-    }
-    if getattr(args, "partition", None):
-        doc["partitions"] = list(args.partition)
-    for key in ("kind", "nmax", "budget", "seed", "depth", "samples", "cell_budget", "cap"):
-        if getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
-    return doc
+# Keys of the JSON config block, in order; a command echoes the ones it has set.
+_CONFIG_KEYS = (
+    "threads", "word_cap", "dim_cap", "units", "system", "partitions",
+    "kind", "nmax", "budget", "seed", "depth", "samples", "cell_budget", "cap",
+)
+
+
+def _config_doc(args) -> dict:
+    values = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    return {"version": __version__} | {k: v for k, v in values.items() if v is not None}
 
 
 def _partition_doc(part) -> dict:
@@ -188,12 +195,12 @@ def _estimate_doc(est, units) -> dict:
     }
 
 
-def cmd_validate(args, threads):
+def cmd_validate(args):
     system = load_system(args.system)
     parts = _load_partitions(args, system, least=0, most=8)
     doc = {
         "command": "validate",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "system": system_to_document(system),
         "partitions": [_partition_doc(p) for p in parts],
     }
@@ -205,7 +212,7 @@ def cmd_validate(args, threads):
     return Report(doc, ["state", "stationary"], rows, summary), EXIT_OK
 
 
-def cmd_rate(args, threads):
+def cmd_rate(args):
     system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     kind = EntropyKind(args.kind)
@@ -216,7 +223,7 @@ def cmd_rate(args, threads):
     sdoc = _sequence_doc(seq, args.units)
     doc = {
         "command": "rate",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "sequence": sdoc,
         "estimate": _estimate_doc(estimate, args.units) if estimate else None,
     }
@@ -275,13 +282,13 @@ def _all_sequences(args, system, part):
     return docs, estimates, violations, truncated, rows
 
 
-def cmd_compare(args, threads):
+def cmd_compare(args):
     system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
     doc = {
         "command": "compare",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "sequences": docs,
         "estimates": estimates,
         "ordering_violations": violations,
@@ -297,7 +304,7 @@ def cmd_compare(args, threads):
     return Report(doc, ["N", *_KIND_NAMES, "ordering"], rows, summary), code
 
 
-def cmd_cnt(args, threads):
+def cmd_cnt(args):
     system = load_system(args.system)
     parts = _load_partitions(args, system, least=1, most=2)
     result = cnt_search(
@@ -311,7 +318,7 @@ def cmd_cnt(args, threads):
     witness = result.witness
     doc = {
         "command": "cnt",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "best_value": convert_units(result.best_value, args.units),
         "witness": result.witness_label,
         "index_sizes": list(witness.index_sizes),
@@ -334,7 +341,7 @@ def cmd_cnt(args, threads):
     return Report(doc, ["index", "weight"], rows, summary), EXIT_OK
 
 
-def cmd_sample(args, threads):
+def cmd_sample(args):
     system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     counts = sample_words(
@@ -347,7 +354,7 @@ def cmd_sample(args, threads):
     bound = tv_bound(counts.shape[0], args.samples)
     doc = {
         "command": "sample",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "n_words": int(counts.shape[0]),
         "tv_distance": tv,
         "tv_bound": bound,
@@ -375,7 +382,7 @@ def cmd_sample(args, threads):
     return Report(doc, ["word", "count", "empirical", "analytic"], rows, summary), EXIT_OK
 
 
-def cmd_sup(args, threads):
+def cmd_sup(args):
     system = load_system(args.system)
     kind = EntropyKind(args.kind)
     result = sup_over_sharp(
@@ -389,7 +396,7 @@ def cmd_sup(args, threads):
     cells_labeled = [[system.states[x] for x in cell] for cell in result.cells]
     doc = {
         "command": "sup",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "cells": cells_labeled,
         "estimate": _estimate_doc(result.estimate, args.units),
         "candidates": result.candidates,
@@ -403,13 +410,13 @@ def cmd_sup(args, threads):
     return Report(doc, ["cell", "states"], rows, summary), EXIT_OK
 
 
-def cmd_report(args, threads):
+def cmd_report(args):
     system = load_system(args.system)
     (part,) = _load_partitions(args, system, least=1, most=1)
     docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
     doc = {
         "command": "report",
-        "config": _config_doc(args, threads),
+        "config": _config_doc(args),
         "system": system_to_document(system),
         "partition": _partition_doc(part),
         "sequences": docs,
@@ -451,8 +458,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = _threads_from_env()
-        report, code = _COMMANDS[args.command](args, threads)
+        args.threads = _threads_from_env()
+        report, code = _COMMANDS[args.command](args)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))

@@ -38,6 +38,7 @@ from .partitions import (
     DEFAULT_WORD_CAP,
     PartitionOfUnity,
     RefinedPartition,
+    _check_refine_args,
     _response_of,
     evolve,
     refine_afl,
@@ -351,13 +352,7 @@ def rho_afl(
     square roots vanish, so the state is the diagonal word distribution and
     the pair recursion is skipped.
     """
-    if f.n_states != system.n_states:
-        raise ValidationError("partition does not match the system's state count")
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    n_words = f.n_outcomes**depth
-    if n_words > dim_cap:
-        raise CapExceededError(f"state would be {n_words} x {n_words}, cap is {dim_cap}")
+    _check_refine_args(system, f, depth, dim_cap, "state would be {n} x {n}, cap is {cap}")
     if f.is_sharp():
         refined = refine_afl(system, f, depth, word_cap=dim_cap)
         return np.diag(system.stationary @ refined.elements)

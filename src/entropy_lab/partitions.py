@@ -29,6 +29,7 @@ from .entropy import CLAMP_TOL, as_prob_vector, as_stochastic_matrix
 from .systems import StochasticSystem
 
 DEFAULT_WORD_CAP = 2**20
+_REFINE_CAP = "refinement would materialize {n} words, cap is {cap}"
 
 __all__ = [
     "DEFAULT_WORD_CAP",
@@ -217,16 +218,18 @@ def word_label(f: PartitionOfUnity, word) -> str:
     return ".".join(f.labels[int(k)] for k in word)
 
 
-def _check_refine_args(system: StochasticSystem, f: PartitionOfUnity, depth: int, word_cap: int):
+def _check_refine_args(
+    system: StochasticSystem, f: PartitionOfUnity, depth: int, cap: int, message: str = _REFINE_CAP
+) -> int:
+    """Check the arguments of a depth-N word object; return its word count n = k^N."""
     if f.n_states != system.n_states:
         raise ValidationError("partition does not match the system's state count")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     n_words = f.n_outcomes**depth
-    if n_words > word_cap:
-        raise CapExceededError(
-            f"refinement would materialize {n_words} words, cap is {word_cap}"
-        )
+    if n_words > cap:
+        raise CapExceededError(message.format(n=n_words, cap=cap))
+    return n_words
 
 
 def refine_mak(

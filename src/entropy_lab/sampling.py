@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._errors import CapExceededError, ValidationError
-from .partitions import DEFAULT_WORD_CAP, PartitionOfUnity
+from ._errors import ValidationError
+from .partitions import DEFAULT_WORD_CAP, PartitionOfUnity, _check_refine_args
 from .systems import StochasticSystem
 
 BLOCK_SIZE = 1 << 16
@@ -62,18 +62,12 @@ def sample_words(
     measure, an outcome from the current response row at each of ``depth``
     times, and a transition between consecutive times.
     """
-    if f.n_states != system.n_states:
-        raise ValidationError("partition does not match the system's state count")
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
+    n_words = _check_refine_args(system, f, depth, word_cap, "would count {n} words, cap is {cap}")
     k = f.n_outcomes
-    n_words = k**depth
-    if n_words > word_cap:
-        raise CapExceededError(f"would count {n_words} words, cap is {word_cap}")
     cum_mu = np.cumsum(system.stationary)
     cum_mu[-1] = 1.0
     cols_p = _threshold_columns(system.transition)

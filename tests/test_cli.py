@@ -357,7 +357,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_inequality_violation_maps_to_exit_4(self, monkeypatch):
-        def explode(args, threads):
+        def explode(args):
             raise InequalityViolationError("ordering broke")
 
         monkeypatch.setitem(cli._COMMANDS, "validate", explode)
@@ -399,6 +399,70 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
+
+
+VALIDATE_ARGV = ("validate", "--system", CHAIN, "--partition", BLUR)
+CNT_ARGV = ("cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "1")
+SAMPLE_ARGV = ("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1")
+MEASURED = ["version", "threads", "word_cap", "dim_cap", "units", "system"]
+CONFIG_KEYS = {
+    "validate": (("validate", "--system", CHAIN), ["version", "threads", "system"]),
+    "validate-partition": (VALIDATE_ARGV, ["version", "threads", "system", "partitions"]),
+    "rate": (
+        ("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--nmax", "2"),
+        [*MEASURED, "partitions", "kind", "nmax"],
+    ),
+    "compare": (
+        ("compare", "--system", CHAIN, "--partition", BLUR, "--nmax", "2"),
+        [*MEASURED, "partitions", "nmax"],
+    ),
+    "cnt": (
+        CNT_ARGV,
+        ["version", "threads", "units", "system", "partitions", "budget", "seed", "cap"],
+    ),
+    "sample": (
+        SAMPLE_ARGV,
+        ["version", "threads", "word_cap", "system", "partitions", "seed", "depth", "samples"],
+    ),
+    "sup": (
+        ("sup", "--system", CHAIN, "--kind", "hud", "--nmax", "2"),
+        [*MEASURED, "kind", "nmax"],
+    ),
+    "report": (
+        ("report", "--system", CHAIN, "--partition", BLUR, "--nmax", "2"),
+        [*MEASURED, "partitions", "nmax"],
+    ),
+}
+
+
+class TestCommandSettings:
+    """Each command takes, and echoes in its config, only the settings it reads."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (VALIDATE_ARGV, ("--units", "bits")),
+            (VALIDATE_ARGV, ("--word-cap", "8")),
+            (VALIDATE_ARGV, ("--dim-cap", "8")),
+            (CNT_ARGV, ("--word-cap", "8")),
+            (CNT_ARGV, ("--dim-cap", "8")),
+            (SAMPLE_ARGV, ("--dim-cap", "8")),
+            (SAMPLE_ARGV, ("--units", "bits")),
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_unread_setting_is_a_usage_error(self, argv, flag):
+        code, out, err = run(*argv, *flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: unrecognized arguments: {flag[0]}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, keys", CONFIG_KEYS.values(), ids=CONFIG_KEYS.keys())
+    def test_config_keys(self, argv, keys):
+        code, doc, _ = run_json(*argv)
+        assert code == 0
+        assert list(doc["config"]) == keys
 
 
 class TestThreadsEnv:

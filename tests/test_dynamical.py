@@ -412,6 +412,24 @@ class TestCntSearch:
         assert np.array_equal(result.witness.weights, witness.weights)
         assert np.array_equal(result.witness.components, witness.components)
 
+    @settings(max_examples=30, deadline=None)
+    @given(scan_cases())
+    def test_every_candidate_stays_under_the_hud_bound_of_the_join(self, case):
+        """The functional is at most I(X; Y_1 Y_2) = hud(f v g), as the README proves."""
+        system, f, g, budget, seed, chunk = case
+        mu = system.stationary
+        parts = [f, el.evolve(system, f) if g is None else g]
+        bound = el.hud_functional(mu, el.join(*parts)) + dynamical.MI_FORM_TOL
+        with mock.patch.object(dynamical, "SCAN_CHUNK", chunk):
+            values = [
+                el.cnt_functional(mu, dec, parts)
+                for _, _, decompositions in dynamical._candidates(mu, system.n_states, budget, seed)
+                for dec in decompositions
+            ]
+            result = el.cnt_search(system, f, g, budget=budget, seed=seed)
+        assert max(values) <= bound
+        assert result.best_value <= bound
+
     @pytest.mark.parametrize("chunk", [1, 7, dynamical.SCAN_CHUNK])
     def test_random_family_equals_per_trial_draws(self, doubly_stochastic, chunk):
         mu = doubly_stochastic.stationary

@@ -8,7 +8,10 @@ are every command on every fixture system and partition in json, csv and
 table format, then every op that ``bench/workloads.generate`` builds for
 seeds 1-3, then the error paths: one run for each of exit codes 1-3,
 malformed numeric fields in documents, ``--out`` to a directory that
-does not exist, and a negative ``--seed`` for ``sample`` and ``cnt``; last,
+does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, and each
+setting a command does not read (``--units``, ``--word-cap`` and
+``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
+``--units`` on ``sample``), which exits 1; last,
 the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
 have index sizes (1, 1) and which has one identification, and ``cnt`` on a
 three-state system whose third state has stationary mass 1e-16, so that
@@ -60,6 +63,14 @@ TINY_MASS_SYSTEM = {
     "stationary": [0.5, 0.4999999999999999, 1e-16],
 }
 TINY_MASS_PARTITION = {"response": [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]}
+UNREAD_SETTINGS = {
+    ("validate", "--system", CHAIN): ("--units", "--word-cap", "--dim-cap"),
+    ("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1"): ("--word-cap", "--dim-cap"),
+    ("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1"): (
+        "--dim-cap",
+        "--units",
+    ),
+}
 
 
 def fixture_argvs():
@@ -100,6 +111,9 @@ def error_argvs(directory: Path):
     yield ["validate", "--system", CHAIN, "--out", str(directory / "absent" / "x.json")]
     yield ["sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "-1"]
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"]
+    for head, flags in UNREAD_SETTINGS.items():
+        for flag in flags:
+            yield [*head, flag, "8" if flag.endswith("cap") else "bits"]
 
 
 def degenerate_argvs(directory: Path):
