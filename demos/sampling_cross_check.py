@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Monte Carlo word counts against the exact word distribution.
 
-Draws trajectories from the stationary chain, reads outcome symbols
-through the response rows, and compares the empirical word frequencies
-with the analytic law of the nested refinement.  Sampling is blocked and
-seeded, so reruns reproduce the counts bit for bit.
+Samples the stationary chain, reads outcome symbols through the response
+rows, and compares the empirical word frequencies with the analytic law of
+the nested refinement.  The samples are drawn together, as groups that
+share state and word, from one seeded generator, so reruns reproduce the
+counts bit for bit.
 """
 
 import numpy as np

@@ -13,6 +13,7 @@ truncated the computation, 4 an internal entropy inequality was violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -75,7 +76,9 @@ def _threads_from_env() -> int:
     return threads
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later ``main`` calls."""
     parser = _Parser(prog="entropy-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"entropy-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

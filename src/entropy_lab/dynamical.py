@@ -275,7 +275,8 @@ def cnt_search(
     per time index, alphabet size = number of states), and ``budget``
     random density decompositions drawn from a seeded generator.  Because
     the functional is not concave for two or more times, identification
-    values can be negative; the search reports how many were.
+    values can be negative; the search reports how many were.  ``cap``
+    bounds the number of map tuples, n^(2n), and must be at least 1.
 
     Both stacked families come from ``_candidates``, in chunks of at most
     ``SCAN_CHUNK`` decompositions, each built as one stack and validated
@@ -286,6 +287,8 @@ def cnt_search(
         raise ValidationError("budget must be >= 0")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     parts = [f, g if g is not None else evolve(system, f)]
     for p in parts:
         if p.n_states != system.n_states:
@@ -562,10 +565,10 @@ def sup_over_sharp(
     """Maximize the rate estimate over all sharp partitions of the states.
 
     Exhaustive over set partitions (feasible up to 8 states; 4140
-    candidates at 8).  ``cell_budget`` restricts the number of cells.  The
-    winner is the largest last-increment estimate; ties within 1e-12 go to
-    the lexicographically smallest canonical cell list, so results are
-    reproducible.
+    candidates at 8).  ``cell_budget``, when given, is the most cells a
+    candidate may have, and must be at least 1.  The winner is the largest
+    last-increment estimate; ties within 1e-12 go to the lexicographically
+    smallest canonical cell list, so results are reproducible.
     """
     n = system.n_states
     if n > MAX_EXHAUSTIVE_STATES:
@@ -574,6 +577,8 @@ def sup_over_sharp(
         )
     if n_max < 2:
         raise ValidationError("n_max must be >= 2 so a rate can be estimated")
+    if cell_budget is not None and cell_budget < 1:
+        raise ValidationError(f"cell_budget must be >= 1, got {cell_budget}")
     best = None  # (cells, partition, estimate) of the leading candidate
     candidates = 0
     for cells in iter_set_partitions(n, cell_budget):

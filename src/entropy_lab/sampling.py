@@ -1,19 +1,24 @@
 """Monte Carlo sampling of outcome words.
 
-Samples state trajectories from the stationary chain and outcome symbols
-from the response rows, in independent blocks of at most ``BLOCK_SIZE``
-draws.  Each block gets its own child generator spawned from one seed
-sequence, so results are bit-reproducible.
+Samples are exchangeable, so the word counts depend only on how many
+samples share each (current state, word prefix) pair.  ``sample_words``
+therefore keeps groups of samples instead of trajectories.  The start
+counts are one multinomial draw over the stationary measure.  At each time
+every occupied group splits by one multinomial over its response row, and
+its word code becomes ``code * k + symbol``.  Between times every group
+splits by one multinomial over its transition row, and the groups that
+share (next state, code) merge.  By the splitting property of the
+multinomial, the counts have exactly the law of ``n_samples`` independent
+trajectories.
 
-Each draw is an inverse CDF: the picked index is the number of cumulative
-weights of the current row that lie below a uniform u.  The cumulative
-tables are kept as threshold columns, one per index but the last (that one
-is 1.0, and u < 1 never exceeds it), so one sample-step costs about
-n + k - 2 gathers and compares over the block and never builds an array
-wider than the block.  A block draws ``rng.random(m)`` once for the start
-state and then, at each time, once for the symbol and (except after the
-last symbol) once for the transition; that fixed draw order is what keeps
-the counts for a given seed the same.
+The cost is O(depth * min(n_samples, n * k^depth)) group splits, against
+O(depth * n_samples) draws for trajectory-wise sampling, and no array has
+one entry per sample.  So the sampler pays off when n * k^depth is well
+below ``n_samples``.  Where it is not, it can be slower than drawing
+trajectories, but there the reference ``tv_bound`` is near 1.  All draws
+come from one generator seeded with ``SeedSequence(seed)``, in a fixed
+order: groups are visited sorted by (state, code).  Seeded reruns give the
+same counts.
 """
 
 from __future__ import annotations
@@ -24,27 +29,25 @@ from ._errors import ValidationError
 from .partitions import DEFAULT_WORD_CAP, PartitionOfUnity, _check_refine_args
 from .systems import StochasticSystem
 
-BLOCK_SIZE = 1 << 16
-
-__all__ = ["BLOCK_SIZE", "sample_words", "empirical_distribution", "tv_distance", "tv_bound"]
+__all__ = ["sample_words", "empirical_distribution", "tv_distance", "tv_bound"]
 
 
-def _threshold_columns(matrix: np.ndarray) -> np.ndarray:
-    """Cumulative row weights, one contiguous row per column but the last."""
-    return np.cumsum(matrix, axis=1).T[:-1].copy()
+def _split(rng, rows: np.ndarray, states: np.ndarray, sizes: np.ndarray):
+    """Split each group over the row of its state.
 
-
-def _pick(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF per sample: how many thresholds of its row lie below u.
-
-    ``columns[j][rows[i]]`` is the cumulative weight of indices 0..j in row
-    ``rows[i]``; the count is the smallest index whose cumulative weight
-    exceeds ``u[i]``.  Every temporary has the length of ``u``.
+    Returns, for every occupied part, its group index, its column and its size,
+    in row-major order.
     """
-    picked = np.zeros(u.shape[0], dtype=np.intp)
-    for column in columns:
-        picked += column.take(rows) < u
-    return picked
+    parts = rng.multinomial(sizes, rows[states])
+    group, column = np.nonzero(parts)
+    return group, column, parts[group, column]
+
+
+def _sum_by(index: np.ndarray, sizes: np.ndarray, length: int) -> np.ndarray:
+    """Integer sums of ``sizes`` per index; bincount would sum in floats."""
+    sums = np.zeros(length, dtype=np.int64)
+    np.add.at(sums, index, sizes)
+    return sums
 
 
 def sample_words(
@@ -60,7 +63,9 @@ def sample_words(
 
     A sample is produced by drawing the start state from the stationary
     measure, an outcome from the current response row at each of ``depth``
-    times, and a transition between consecutive times.
+    times, and a transition between consecutive times.  The samples are
+    drawn together, as groups that share state and word (see the module
+    docstring).
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -68,27 +73,23 @@ def sample_words(
         raise ValidationError("seed must be >= 0")
     n_words = _check_refine_args(system, f, depth, word_cap, "would count {n} words, cap is {cap}")
     k = f.n_outcomes
-    cum_mu = np.cumsum(system.stationary)
-    cum_mu[-1] = 1.0
-    cols_p = _threshold_columns(system.transition)
-    cols_f = _threshold_columns(f.response)
-    counts = np.zeros(n_words, dtype=np.int64)
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    remaining = n_samples
-    for child in children:
-        rng = np.random.default_rng(child)
-        m = min(BLOCK_SIZE, remaining)
-        remaining -= m
-        x = np.searchsorted(cum_mu, rng.random(m), side="right")
-        codes = np.zeros(m, dtype=np.int64)
-        for step in range(depth):
-            symbols = _pick(cols_f, x, rng.random(m))
-            codes = codes * k + symbols
-            if step < depth - 1:
-                x = _pick(cols_p, x, rng.random(m))
-        counts += np.bincount(codes, minlength=n_words)
-    return counts
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sizes = rng.multinomial(n_samples, system.stationary)
+    states = np.flatnonzero(sizes)
+    sizes = sizes[states]
+    codes = np.zeros(states.shape[0], dtype=np.int64)
+    for step in range(depth):
+        # Groups stay sorted by (state, code): appending a symbol keeps that order.
+        group, symbols, sizes = _split(rng, f.response, states, sizes)
+        codes = codes[group] * k + symbols
+        states = states[group]
+        if step < depth - 1:
+            group, states, sizes = _split(rng, system.transition, states, sizes)
+            stride = k ** (step + 1)
+            keys, merged = np.unique(states * stride + codes[group], return_inverse=True)
+            sizes = _sum_by(merged, sizes, keys.shape[0])
+            states, codes = np.divmod(keys, stride)
+    return _sum_by(codes, sizes, n_words)
 
 
 def empirical_distribution(counts) -> np.ndarray:

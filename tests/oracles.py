@@ -5,10 +5,10 @@ the code paths (and where possible the algorithms) of the package: the
 eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
 paths, the Markov block entropy uses its closed form, and word sampling
-gathers whole cumulative rows for every sample.  The decomposition
-functional is summed by loops over the weight tensor, and ``cnt_search``
-is rebuilt one candidate at a time through the public ``Decomposition``
-and ``cnt_functional``.
+either gathers whole cumulative rows for every sample or splits sample
+groups in a plain loop.  The decomposition functional is summed by loops
+over the weight tensor, and ``cnt_search`` is rebuilt one candidate at a
+time through the public ``Decomposition`` and ``cnt_functional``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
 from entropy_lab.dynamical import MI_FORM_TOL
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-SAMPLE_BLOCK = 1 << 16
 
 
 def jacobi_eigenvalues(matrix, tol: float = 1e-13, max_sweeps: int = 200) -> np.ndarray:
@@ -260,41 +259,66 @@ def identification_scan(mu, parts, n: int, budget: int, seed: int):
 
 
 def sample_words_rowwise(transition, stationary, response, depth: int, n_samples: int, seed: int):
-    """Word counts by a row-wise inverse CDF, block by block.
+    """Word counts by drawing every trajectory, with a row-wise inverse CDF.
 
-    The draws follow the scheme of ``sampling.sample_words``: one child
-    generator per block of at most ``SAMPLE_BLOCK`` samples, spawned from
-    ``SeedSequence(seed)``; per block one uniform per sample for the start
-    state, then per time one for the symbol and, between times, one for the
-    transition.  Each index is the number of entries of the gathered
-    cumulative row (last entry set to 1.0) that lie below the uniform.
+    One generator seeded with ``SeedSequence(seed)`` gives one uniform per
+    sample for the start state, then per time one for the symbol and,
+    between times, one for the transition.  Each index is the number of
+    entries of the gathered cumulative row (last entry set to 1.0) that lie
+    below the uniform.
     """
     transition = np.asarray(transition, dtype=float)
     response = np.asarray(response, dtype=float)
     k = response.shape[1]
-    n_words = k**depth
     cum_mu = np.cumsum(stationary)
     cum_mu[-1] = 1.0
     cum_p = np.cumsum(transition, axis=1)
     cum_p[:, -1] = 1.0
     cum_f = np.cumsum(response, axis=1)
     cum_f[:, -1] = 1.0
-    counts = np.zeros(n_words, dtype=np.int64)
-    n_blocks = (n_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    remaining = n_samples
-    for child in children:
-        rng = np.random.default_rng(child)
-        m = min(SAMPLE_BLOCK, remaining)
-        remaining -= m
-        x = np.searchsorted(cum_mu, rng.random(m), side="right")
-        codes = np.zeros(m, dtype=np.int64)
-        for step in range(depth):
-            u = rng.random(m)
-            symbols = np.sum(cum_f[x] < u[:, None], axis=1)
-            codes = codes * k + symbols
-            if step < depth - 1:
-                u = rng.random(m)
-                x = np.sum(cum_p[x] < u[:, None], axis=1)
-        counts += np.bincount(codes, minlength=n_words)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = np.searchsorted(cum_mu, rng.random(n_samples), side="right")
+    codes = np.zeros(n_samples, dtype=np.int64)
+    for step in range(depth):
+        u = rng.random(n_samples)
+        codes = codes * k + np.sum(cum_f[x] < u[:, None], axis=1)
+        if step < depth - 1:
+            u = rng.random(n_samples)
+            x = np.sum(cum_p[x] < u[:, None], axis=1)
+    return np.bincount(codes, minlength=k**depth)
+
+
+def sample_words_by_groups(transition, stationary, response, depth: int, n_samples: int, seed: int):
+    """Word counts by splitting (state, code) groups one at a time.
+
+    Draws the multinomials of ``sampling.sample_words`` in the same order,
+    from one generator seeded with ``SeedSequence(seed)``: the start counts
+    over the stationary measure, then per time one split of each group over
+    its response row and, between times, one over its transition row.
+    Groups are kept in a dict keyed by (state, code) and visited in sorted
+    order; groups that land on the same key after a transition are merged.
+    """
+    transition = np.asarray(transition, dtype=float)
+    response = np.asarray(response, dtype=float)
+    k = response.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    start = rng.multinomial(n_samples, stationary)
+    groups = {(x, 0): int(size) for x, size in enumerate(start) if size > 0}
+    for step in range(depth):
+        split = {}
+        for (x, code), size in sorted(groups.items()):
+            for a, part in enumerate(rng.multinomial(size, response[x])):
+                if part > 0:
+                    split[(x, code * k + a)] = int(part)
+        groups = split
+        if step < depth - 1:
+            moved = {}
+            for (x, code), size in sorted(groups.items()):
+                for y, part in enumerate(rng.multinomial(size, transition[x])):
+                    if part > 0:
+                        moved[(y, code)] = moved.get((y, code), 0) + int(part)
+            groups = moved
+    counts = np.zeros(k**depth, dtype=np.int64)
+    for (_, code), size in groups.items():
+        counts[code] += size
     return counts

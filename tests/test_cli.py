@@ -356,6 +356,23 @@ class TestExitCodes:
         assert "seed must be >= 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", "0"), "cell_budget"),
+            (("sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", "-1"), "cell_budget"),
+            (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "0"), "cap"),
+            (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "-1"), "cap"),
+        ],
+        ids=["sup-0", "sup-negative", "cnt-0", "cnt-negative"],
+    )
+    def test_budget_or_cap_below_one_is_validation(self, argv, message):
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message} must be >= 1, got {argv[-1]}")
+        assert "Traceback" not in err
+
     def test_inequality_violation_maps_to_exit_4(self, monkeypatch):
         def explode(args):
             raise InequalityViolationError("ordering broke")

@@ -8,8 +8,9 @@ are every command on every fixture system and partition in json, csv and
 table format, then every op that ``bench/workloads.generate`` builds for
 seeds 1-3, then the error paths: one run for each of exit codes 1-3,
 malformed numeric fields in documents, ``--out`` to a directory that
-does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, and each
-setting a command does not read (``--units``, ``--word-cap`` and
+does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, a
+``sup --cell-budget`` and a ``cnt --cap`` of 0 and of -1, which exit 2, and
+each setting a command does not read (``--units``, ``--word-cap`` and
 ``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
 ``--units`` on ``sample``), which exits 1; last,
 the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
@@ -111,6 +112,9 @@ def error_argvs(directory: Path):
     yield ["validate", "--system", CHAIN, "--out", str(directory / "absent" / "x.json")]
     yield ["sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "-1"]
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"]
+    for budget in ("0", "-1"):
+        yield ["sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", budget]
+        yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", budget]
     for head, flags in UNREAD_SETTINGS.items():
         for flag in flags:
             yield [*head, flag, "8" if flag.endswith("cap") else "bits"]
