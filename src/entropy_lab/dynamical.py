@@ -355,7 +355,9 @@ def rho_afl(
     square roots vanish, so the state is the diagonal word distribution and
     the pair recursion is skipped.
     """
-    _check_refine_args(system, f, depth, dim_cap, "state would be {n} x {n}, cap is {cap}")
+    _check_refine_args(
+        system, f, depth, dim_cap, "state would be {n} x {n}, cap is {cap}", "dim_cap"
+    )
     if f.is_sharp():
         refined = refine_afl(system, f, depth, word_cap=dim_cap)
         return np.diag(system.stationary @ refined.elements)
@@ -454,15 +456,19 @@ def entropy_sequence(
 
     ``mak`` diagonalizes the n x n side of a Gram factorization of its
     state, which has the same nonzero spectrum; ``afl`` diagonalizes its
-    k^N x k^N state.  ``dim_cap`` bounds the diagonalized side: n for
-    ``mak``, k^N for ``afl``.  ``word_cap`` bounds the refinements of
-    ``hud``, ``mak`` and ``kow``.
+    k^N x k^N state, which for a sharp f is diagonal and needs no LAPACK
+    call.  ``dim_cap`` bounds the diagonalized side: n for ``mak``, k^N for
+    ``afl``.  ``word_cap`` bounds the refinements of ``hud``, ``mak`` and
+    ``kow``.  Both caps must be at least 1 for every kind.
 
     The word-distribution and operational-state kinds are nondecreasing in
     depth; a decrease beyond 1e-9 would mean an internal fault and raises.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    for name, cap in (("word_cap", word_cap), ("dim_cap", dim_cap)):
+        if cap < 1:
+            raise ValidationError(f"{name} must be >= 1, got {cap}")
     values: list[float] = []
     truncated_at: int | None = None
     for depth in range(1, n_max + 1):

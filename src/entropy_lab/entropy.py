@@ -106,33 +106,50 @@ def as_stochastic_matrix(m, name: str = "matrix") -> np.ndarray:
 def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending.
 
-    Backed by LAPACK through ``numpy.linalg.eigh``.  The input must be
-    square, finite and symmetric within 1e-12.  The result is accepted
-    only if every eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral
-    norm) and the eigenvalue sum matches the trace within 1e-9; otherwise a
-    ValidationError is raised rather than returning silent garbage.
+    The input must be square, finite and symmetric within 1e-12.  An
+    exactly symmetric input is used as it is, since symmetrizing it would
+    return the same bits; any other input within the tolerance is replaced
+    by (m + m^T) / 2.  A matrix whose off-diagonal entries are all zero has
+    its diagonal entries as exact eigenvalues, with the unit vectors as
+    eigenvectors and a residual of 0, so its sorted diagonal is returned
+    without a LAPACK call.  Every other matrix goes to
+    ``numpy.linalg.eigh``, and its result is accepted only if every
+    eigenpair satisfies ``|m v - w v| <= 1e-8 * |m|`` (spectral norm).  In
+    both cases the eigenvalue sum must match the trace within 1e-9;
+    otherwise a ValidationError is raised rather than returning silent
+    garbage.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} has non-finite entries")
-    skew = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if skew > SYMMETRY_TOL:
-        raise ValidationError(
-            f"{name} is not symmetric: max |m - m^T| = {skew:.3e} > {SYMMETRY_TOL:.0e}"
-        )
-    sym = (arr + arr.T) / 2.0
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    residual = float(np.max(np.abs(sym @ vecs - vecs * vals)))
-    if residual > EIG_RESIDUAL_REL * scale:
-        raise ValidationError(
-            f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
-        )
+    if np.array_equal(arr, arr.T):
+        sym = arr
+    else:
+        skew = float(np.max(np.abs(arr - arr.T)))
+        if skew > SYMMETRY_TOL:
+            raise ValidationError(
+                f"{name} is not symmetric: max |m - m^T| = {skew:.3e} > {SYMMETRY_TOL:.0e}"
+            )
+        sym = (arr + arr.T) / 2.0
+    diagonal = np.diagonal(sym)
+    if np.count_nonzero(sym) == np.count_nonzero(diagonal):
+        vals = np.sort(diagonal)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"eigendecomposition of {name} failed: {exc}") from exc
+        scale = max(float(np.max(np.abs(vals))), 1e-300)
+        product = sym @ vecs
+        vecs *= vals
+        product -= vecs
+        residual = float(np.abs(product, out=product).max())
+        if residual > EIG_RESIDUAL_REL * scale:
+            raise ValidationError(
+                f"eigenpair residual {residual:.3e} exceeds {EIG_RESIDUAL_REL:.0e} * |{name}|"
+            )
     trace_gap = abs(float(vals.sum()) - float(np.trace(sym)))
     if trace_gap > 1e-9 * max(1.0, abs(float(np.trace(sym)))):
         raise ValidationError(

@@ -219,13 +219,24 @@ def word_label(f: PartitionOfUnity, word) -> str:
 
 
 def _check_refine_args(
-    system: StochasticSystem, f: PartitionOfUnity, depth: int, cap: int, message: str = _REFINE_CAP
+    system: StochasticSystem,
+    f: PartitionOfUnity,
+    depth: int,
+    cap: int,
+    message: str = _REFINE_CAP,
+    cap_name: str = "word_cap",
 ) -> int:
-    """Check the arguments of a depth-N word object; return its word count n = k^N."""
+    """Check the arguments of a depth-N word object; return its word count n = k^N.
+
+    A cap below 1 admits no word object at all, so it is a ValidationError
+    naming ``cap_name``, not a cap that is hit.
+    """
     if f.n_states != system.n_states:
         raise ValidationError("partition does not match the system's state count")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    if cap < 1:
+        raise ValidationError(f"{cap_name} must be >= 1, got {cap}")
     n_words = f.n_outcomes**depth
     if n_words > cap:
         raise CapExceededError(message.format(n=n_words, cap=cap))

@@ -363,8 +363,29 @@ class TestExitCodes:
             (("sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", "-1"), "cell_budget"),
             (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "0"), "cap"),
             (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "-1"), "cap"),
+            (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "0"),
+             "word_cap"),
+            (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "-3"),
+             "word_cap"),
+            (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "hud", "--word-cap", "0"),
+             "word_cap"),
+            (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "hud", "--dim-cap", "0"),
+             "dim_cap"),
+            (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "kow", "--dim-cap", "-2"),
+             "dim_cap"),
+            (("compare", "--system", CHAIN, "--partition", BLUR, "--word-cap", "0"), "word_cap"),
+            (("report", "--system", CHAIN, "--partition", BLUR, "--dim-cap", "-1"), "dim_cap"),
+            (("sup", "--system", CHAIN, "--kind", "afl", "--word-cap", "0"), "word_cap"),
+            (("sup", "--system", CHAIN, "--kind", "hud", "--dim-cap", "0"), "dim_cap"),
+            (("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1",
+              "--word-cap", "0"), "word_cap"),
         ],
-        ids=["sup-0", "sup-negative", "cnt-0", "cnt-negative"],
+        ids=[
+            "sup-0", "sup-negative", "cnt-0", "cnt-negative",
+            "rate-afl-word-0", "rate-afl-word-negative", "rate-hud-word-0", "rate-hud-dim-0",
+            "rate-kow-dim-negative", "compare-word-0", "report-dim-negative", "sup-afl-word-0",
+            "sup-hud-dim-0", "sample-word-0",
+        ],
     )
     def test_budget_or_cap_below_one_is_validation(self, argv, message):
         code, out, err = run(*argv)

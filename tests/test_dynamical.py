@@ -619,6 +619,88 @@ class TestEntropySequence:
             two_state_chain, blur_partition, el.EntropyKind.MAK, 1, dim_cap=1
         ).truncated_at == 1
 
+    @pytest.mark.parametrize("kind", list(el.EntropyKind))
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ({"word_cap": 0}, "word_cap must be >= 1, got 0"),
+            ({"word_cap": -3}, "word_cap must be >= 1, got -3"),
+            ({"dim_cap": 0}, "dim_cap must be >= 1, got 0"),
+        ],
+    )
+    def test_caps_below_one_are_rejected_for_every_kind(
+        self, two_state_chain, blur_partition, kind, caps, message
+    ):
+        # Each kind reads only one of the caps, but both are checked for all.
+        with pytest.raises(ValidationError, match=message):
+            el.entropy_sequence(two_state_chain, blur_partition, kind, 3, **caps)
+
+    def test_word_objects_reject_a_cap_below_one(self, two_state_chain, blur_partition):
+        for refine in (el.refine_afl, el.refine_mak):
+            with pytest.raises(ValidationError, match="word_cap must be >= 1, got 0"):
+                refine(two_state_chain, blur_partition, 2, word_cap=0)
+        with pytest.raises(ValidationError, match="dim_cap must be >= 1, got -1"):
+            el.rho_afl(two_state_chain, blur_partition, 2, dim_cap=-1)
+        with pytest.raises(ValidationError, match="word_cap must be >= 1, got 0"):
+            el.sample_words(two_state_chain, blur_partition, 2, 10, 1, word_cap=0)
+
+
+@st.composite
+def sharp_chains(draw):
+    """A sharp partition of a deterministic, periodic or tiny-mass chain, and a depth.
+
+    Deterministic chains are permutations; periodic ones move between the
+    even and the odd states at random (period 2); tiny-mass chains give one state a
+    stationary mass of 1e-9 or 1e-13.  k^depth stays at most 256.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, max(d for d in range(1, 9) if k**d <= 256)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    chain = draw(st.sampled_from(("deterministic", "periodic", "tiny")))
+    if chain == "deterministic":
+        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
+    elif chain == "periodic":
+        parity = np.arange(n) % 2
+        p = np.where(parity[:, None] != parity[None, :], rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        system = el.make_markov(n, p / p.sum(axis=1, keepdims=True) if n > 1 else [[1.0]])
+    else:
+        probabilities = random_prob(rng, n)
+        if n > 1:
+            probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
+        system = el.make_bernoulli(probabilities / probabilities.sum())
+    part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
+    return system, part, depth
+
+
+class TestSharpAfl:
+    """A sharp afl state is its diagonal word law: its entropy needs no LAPACK call."""
+
+    def test_sequence_runs_without_eigh(self, doubly_stochastic):
+        part = el.sharp_partition([[0], [1, 2]], 3)
+        with (
+            mock.patch("numpy.linalg.eigh", side_effect=AssertionError("eigh was called")),
+            mock.patch(
+                "entropy_lab.entropy.symmetric_eigenvalues",
+                wraps=el.symmetric_eigenvalues,
+            ) as spectra,
+        ):
+            afl = el.entropy_sequence(doubly_stochastic, part, el.EntropyKind.AFL, 7)
+        assert afl.n_max == 7 and afl.truncated_at is None
+        assert spectra.call_count == 7
+        kow = el.entropy_sequence(doubly_stochastic, part, el.EntropyKind.KOW, 7)
+        assert np.max(np.abs(afl.values - kow.values)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(sharp_chains())
+    def test_afl_equals_kow_on_sharp_chains(self, case):
+        system, part, depth = case
+        with mock.patch("numpy.linalg.eigh", side_effect=AssertionError("eigh was called")):
+            afl = el.entropy_sequence(system, part, el.EntropyKind.AFL, depth)
+        kow = el.entropy_sequence(system, part, el.EntropyKind.KOW, depth)
+        assert afl.n_max == kow.n_max == depth
+        assert np.max(np.abs(afl.values - kow.values)) <= 1e-12
+
 
 @st.composite
 def gram_cases(draw):

@@ -1,6 +1,7 @@
 """Scalar entropy layer: frozen values, contracts, and the Jacobi cross-check."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import entropy_lab as el
 from entropy_lab import ValidationError
 from entropy_lab.entropy import (
     CLAMP_TOL,
+    EIG_FLOOR,
     _eta,
     as_density_matrix,
     as_prob_vector,
@@ -165,6 +167,60 @@ class TestSymmetricEigenvalues:
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(lib - ref)) <= 1e-10 * scale
 
+    def test_diagonal_skips_lapack(self):
+        with mock.patch("numpy.linalg.eigh", side_effect=AssertionError("eigh was called")):
+            vals = el.symmetric_eigenvalues(np.diag([0.2, 0.5, -0.0, 0.3]))
+        assert vals.tolist() == [0.5, 0.3, 0.2, 0.0]
+
+    def test_off_diagonal_pair_of_1e_300_reaches_lapack(self):
+        m = np.diag([0.5, 0.3, 0.2])
+        m[0, 2] = m[2, 0] = 1e-300
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            vals = el.symmetric_eigenvalues(m)
+        assert eigh.call_count == 1
+        assert vals == pytest.approx([0.5, 0.3, 0.2], abs=1e-15)
+
+    def test_skew_within_tolerance_is_symmetrized(self):
+        m = np.array([[0.5, 0.25 + 5e-13], [0.25, 0.5]])
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            el.symmetric_eigenvalues(m)
+        (sym,), _ = eigh.call_args
+        assert np.array_equal(sym, (m + m.T) / 2.0)
+
+    def test_exactly_symmetric_input_is_passed_as_is(self):
+        m = np.array([[0.5, 0.25], [0.25, 0.5]])
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            el.symmetric_eigenvalues(m)
+        (sym,), _ = eigh.call_args
+        assert sym is m
+
+    def test_eigenvalue_sum_check_covers_the_diagonal_path(self):
+        # The sorted sum cancels 1e17 first and loses both ones; the trace keeps one.
+        with pytest.raises(ValidationError, match="eigenvalue sum deviates from trace of m by"):
+            el.symmetric_eigenvalues(np.diag([1e17, 1.0, -1e17, 1.0]), "m")
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.diag([1.0, np.nan]), "rho has non-finite entries"),
+            (
+                [[0.5, 0.1], [0.0, 0.5]],
+                r"rho is not symmetric: max \|m - m\^T\| = 1.000e-01 > 1e-12",
+            ),
+            (np.eye(2), r"rho has trace 2.0, not 1 within 1e-10"),
+            ([[0.6, 0.1 + 5e-13], [0.1, 0.6]], r"rho has trace 1.2, not 1 within 1e-10"),
+            (np.diag([1.5, -0.5]), r"rho has eigenvalue -5.000e-01 below -1e-10"),
+            ([[0.5, 1.0 + 5e-13], [1.0, 0.5]], r"rho has eigenvalue -5.000e-01 below -1e-10"),
+        ],
+        ids=[
+            "diagonal-non-finite", "skew", "diagonal-trace", "asymmetric-trace",
+            "diagonal-floor", "asymmetric-floor",
+        ],
+    )
+    def test_checks_and_messages_on_both_paths(self, matrix, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            el.von_neumann_entropy(matrix)
+
     def test_jacobi_agrees_on_density_corpus(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
@@ -278,3 +334,25 @@ def test_unchecked_eta_equals_eta_on_accepted_input(raw):
     band = [-CLAMP_TOL, -5e-13, -0.0, 5e-324, 1.0 - 1e-16, 1.0 + 5e-13, 1.0 + CLAMP_TOL]
     p = np.array(raw + band)
     assert np.array_equal(_eta(p), el.eta(p))
+
+
+_DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from((0.0, -0.0, -EIG_FLOOR, -5e-11, 0.125, 0.5)),
+    st.floats(-EIG_FLOOR, 0.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-100, 1.0), st.lists(_DIAGONAL_ENTRY, max_size=40), st.randoms())
+def test_diagonal_spectrum_equals_lapack_exactly(anchor, entries, random):
+    # Zeros, signed zeros, ties and the -EIG_FLOOR band, up to 41 entries so
+    # LAPACK's divide and conquer runs too.  LAPACK rescales a matrix whose
+    # largest entry is below about 1e-146 and rounds its eigenvalues there,
+    # so one entry is at least 1e-100; a density state has one of at least
+    # 1 / side.
+    diagonal = entries + [anchor]
+    random.shuffle(diagonal)
+    m = np.diag(diagonal)
+    lapack = np.linalg.eigh(m)[0][::-1]
+    assert np.array_equal(el.symmetric_eigenvalues(m), lapack)

@@ -12,7 +12,9 @@ does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, a
 ``sup --cell-budget`` and a ``cnt --cap`` of 0 and of -1, which exit 2, and
 each setting a command does not read (``--units``, ``--word-cap`` and
 ``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
-``--units`` on ``sample``), which exits 1; last,
+``--units`` on ``sample``), which exits 1, and a word or dimension cap below
+1 (``rate --kind afl --word-cap 0``, ``rate --kind hud --dim-cap 0``,
+``report --dim-cap -1``, ``sample --word-cap 0``), which exits 2; last,
 the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
 have index sizes (1, 1) and which has one identification, and ``cnt`` on a
 three-state system whose third state has stationary mass 1e-16, so that
@@ -73,6 +75,14 @@ UNREAD_SETTINGS = {
     ),
 }
 
+CAPS_BELOW_ONE = (
+    ("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "0"),
+    ("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "hud", "--dim-cap", "0"),
+    ("report", "--system", CHAIN, "--partition", BLUR, "--dim-cap", "-1"),
+    ("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1",
+     "--word-cap", "0"),
+)
+
 
 def fixture_argvs():
     """Every command on every fixture system x partition, in every format."""
@@ -118,6 +128,8 @@ def error_argvs(directory: Path):
     for head, flags in UNREAD_SETTINGS.items():
         for flag in flags:
             yield [*head, flag, "8" if flag.endswith("cap") else "bits"]
+    for argv in CAPS_BELOW_ONE:
+        yield list(argv)
 
 
 def degenerate_argvs(directory: Path):
