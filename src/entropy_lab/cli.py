@@ -6,8 +6,15 @@ Commands: validate, rate, compare, cnt, sample, sup, report.  Each takes
 --system, --format and --out, plus only the settings it reads, which its JSON
 ``config`` block echoes: --units (rate, compare, cnt, sup, report), --word-cap
 (rate, compare, sample, sup, report), --dim-cap (rate, compare, sup, report).
+--partition is taken 0-8 times by validate, 1-2 times by cnt, never by sup and
+once by the others.
 Exit codes: 0 success, 1 usage or document error, 2 validation error, 3 a cap
 truncated the computation, 4 an internal entropy inequality was violated.
+
+``build_parser`` states each command's settings and partition count.  ``main``
+frames every command: it loads the system and the partitions, calls the
+handler ``cmd_<name>(args, system, parts)``, which only computes a Report and
+an exit code, heads the document with ``command`` and ``config`` and renders it.
 """
 
 from __future__ import annotations
@@ -83,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entropy-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, *settings, partitions=False):
+    def common(p, *settings, partitions=(0, 0)):
+        """Add the shared flags; ``partitions`` is the (least, most) --partition count."""
         p.add_argument("--system", required=True, help="system document (JSON)")
-        if partitions:
+        if partitions[1]:
             p.add_argument(
                 "--partition",
                 action="append",
@@ -95,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", help="write the report here instead of stdout")
+        p.set_defaults(partition_range=partitions)
         for add in settings:
             add(p)
 
@@ -102,36 +111,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     def word_cap(p):
-        p.add_argument("--word-cap", type=int, default=DEFAULT_WORD_CAP, help="most words k^N")
+        p.add_argument(
+            "--word-cap", type=int, default=DEFAULT_WORD_CAP, help="most words k^N, for every kind"
+        )
 
     def dim_cap(p):
         p.add_argument(
             "--dim-cap",
             type=int,
             default=DEFAULT_DIM_CAP,
-            help="largest matrix side diagonalized: n for mak, k^N for afl",
+            help="largest matrix side diagonalized: n for mak, k^N for afl; "
+            "hud and kow diagonalize nothing",
         )
 
     p = sub.add_parser("validate", help="parse and validate documents")
-    common(p, partitions=True)
+    common(p, partitions=(0, 8))
 
     p = sub.add_parser("rate", help="entropy sequence and rate estimate of one kind")
-    common(p, units, word_cap, dim_cap, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=(1, 1))
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--nmax", type=int, default=8)
 
     p = sub.add_parser("compare", help="all entropy kinds side by side with ordering checks")
-    common(p, units, word_cap, dim_cap, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=(1, 1))
     p.add_argument("--nmax", type=int, default=4)
 
     p = sub.add_parser("cnt", help="two-time decomposition-functional search")
-    common(p, units, partitions=True)
+    common(p, units, partitions=(1, 2))
     p.add_argument("--budget", type=int, default=200, help="random decompositions after the scan")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = sub.add_parser("sample", help="Monte Carlo word sampling against the analytic law")
-    common(p, word_cap, partitions=True)
+    common(p, word_cap, partitions=(1, 1))
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
@@ -143,14 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=int, default=None)
 
     p = sub.add_parser("report", help="full document: summaries, sequences, estimates")
-    common(p, units, word_cap, dim_cap, partitions=True)
+    common(p, units, word_cap, dim_cap, partitions=(1, 1))
     p.add_argument("--nmax", type=int, default=4)
 
     return parser
 
 
-def _load_partitions(args, system, *, least: int, most: int):
-    paths = args.partitions or []
+def _load_partitions(args, system):
+    least, most = args.partition_range
+    paths = getattr(args, "partitions", None) or []
     if not least <= len(paths) <= most:
         expected = str(least) if least == most else f"{least}..{most}"
         raise _UsageError(f"{args.command} takes {expected} --partition arguments")
@@ -198,12 +211,8 @@ def _estimate_doc(est, units) -> dict:
     }
 
 
-def cmd_validate(args):
-    system = load_system(args.system)
-    parts = _load_partitions(args, system, least=0, most=8)
+def cmd_validate(args, system, parts):
     doc = {
-        "command": "validate",
-        "config": _config_doc(args),
         "system": system_to_document(system),
         "partitions": [_partition_doc(p) for p in parts],
     }
@@ -215,9 +224,8 @@ def cmd_validate(args):
     return Report(doc, ["state", "stationary"], rows, summary), EXIT_OK
 
 
-def cmd_rate(args):
-    system = load_system(args.system)
-    (part,) = _load_partitions(args, system, least=1, most=1)
+def cmd_rate(args, system, parts):
+    (part,) = parts
     kind = EntropyKind(args.kind)
     seq = entropy_sequence(
         system, part, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap
@@ -225,8 +233,6 @@ def cmd_rate(args):
     estimate = rate_estimate(seq) if seq.n_max >= 2 else None
     sdoc = _sequence_doc(seq, args.units)
     doc = {
-        "command": "rate",
-        "config": _config_doc(args),
         "sequence": sdoc,
         "estimate": _estimate_doc(estimate, args.units) if estimate else None,
     }
@@ -258,7 +264,8 @@ def _ordering_violations(seqs: dict, n: int) -> list:
     return out
 
 
-def _all_sequences(args, system, part):
+def _all_kinds(args, system, part, intro: list, ordering: str, ok: str):
+    """compare and report: every kind to --nmax, ordering checked at each shared depth."""
     seqs = {
         kind: entropy_sequence(
             system, part, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap
@@ -266,40 +273,30 @@ def _all_sequences(args, system, part):
         for kind in EntropyKind
     }
     common_depth = min(s.n_max for s in seqs.values())
-    violations = []
-    for i in range(common_depth):
-        violations.extend(_ordering_violations(seqs, i))
+    violations = [v for i in range(common_depth) for v in _ordering_violations(seqs, i)]
     truncated = any(s.truncated_at is not None for s in seqs.values())
     docs = {k.value: _sequence_doc(s, args.units) for k, s in seqs.items()}
-    estimates = {
-        k.value: _estimate_doc(rate_estimate(s), args.units)
-        for k, s in seqs.items()
-        if s.n_max >= 2
-    }
-    rows = []
-    for i in range(common_depth):
-        row = [i + 1]
-        row += [docs[name]["values"][i] for name in _KIND_NAMES]
-        row.append("VIOLATED" if any(v["depth"] == i + 1 for v in violations) else "ok")
-        rows.append(tuple(row))
-    return docs, estimates, violations, truncated, rows
-
-
-def cmd_compare(args):
-    system = load_system(args.system)
-    (part,) = _load_partitions(args, system, least=1, most=1)
-    docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
     doc = {
-        "command": "compare",
-        "config": _config_doc(args),
         "sequences": docs,
-        "estimates": estimates,
+        "estimates": {
+            k.value: _estimate_doc(rate_estimate(s), args.units)
+            for k, s in seqs.items()
+            if s.n_max >= 2
+        },
         "ordering_violations": violations,
     }
+    rows = [
+        (
+            i + 1,
+            *(docs[name]["values"][i] for name in _KIND_NAMES),
+            "VIOLATED" if any(v["depth"] == i + 1 for v in violations) else "ok",
+        )
+        for i in range(common_depth)
+    ]
     summary = [
+        *intro,
         f"units = {args.units}",
-        "ordering hud<=mak, hud<=afl<=kow: "
-        + ("all depths ok" if not violations else f"{len(violations)} VIOLATIONS"),
+        ordering + (ok if not violations else f"{len(violations)} VIOLATIONS"),
     ]
     if truncated:
         summary.append("truncated: at least one kind hit a cap")
@@ -307,21 +304,25 @@ def cmd_compare(args):
     return Report(doc, ["N", *_KIND_NAMES, "ordering"], rows, summary), code
 
 
-def cmd_cnt(args):
-    system = load_system(args.system)
-    parts = _load_partitions(args, system, least=1, most=2)
-    result = cnt_search(
-        system,
-        parts[0],
-        parts[1] if len(parts) > 1 else None,
-        budget=args.budget,
-        seed=args.seed,
-        cap=args.cap,
+def cmd_compare(args, system, parts):
+    return _all_kinds(
+        args, system, *parts, [], "ordering hud<=mak, hud<=afl<=kow: ", "all depths ok"
     )
+
+
+def cmd_report(args, system, parts):
+    (part,) = parts
+    intro = [f"system of {system.n_states} states, partition with {part.n_outcomes} outcomes"]
+    report, code = _all_kinds(args, system, part, intro, "ordering: ", "ok")
+    head = {"system": system_to_document(system), "partition": _partition_doc(part)}
+    report.doc = head | report.doc
+    return report, code
+
+
+def cmd_cnt(args, system, parts):
+    result = cnt_search(system, *parts, budget=args.budget, seed=args.seed, cap=args.cap)
     witness = result.witness
     doc = {
-        "command": "cnt",
-        "config": _config_doc(args),
         "best_value": convert_units(result.best_value, args.units),
         "witness": result.witness_label,
         "index_sizes": list(witness.index_sizes),
@@ -344,9 +345,8 @@ def cmd_cnt(args):
     return Report(doc, ["index", "weight"], rows, summary), EXIT_OK
 
 
-def cmd_sample(args):
-    system = load_system(args.system)
-    (part,) = _load_partitions(args, system, least=1, most=1)
+def cmd_sample(args, system, parts):
+    (part,) = parts
     counts = sample_words(
         system, part, args.depth, args.samples, args.seed, word_cap=args.word_cap
     )
@@ -356,8 +356,6 @@ def cmd_sample(args):
     tv = tv_distance(empirical, analytic)
     bound = tv_bound(counts.shape[0], args.samples)
     doc = {
-        "command": "sample",
-        "config": _config_doc(args),
         "n_words": int(counts.shape[0]),
         "tv_distance": tv,
         "tv_bound": bound,
@@ -385,8 +383,7 @@ def cmd_sample(args):
     return Report(doc, ["word", "count", "empirical", "analytic"], rows, summary), EXIT_OK
 
 
-def cmd_sup(args):
-    system = load_system(args.system)
+def cmd_sup(args, system, parts):
     kind = EntropyKind(args.kind)
     result = sup_over_sharp(
         system,
@@ -398,8 +395,6 @@ def cmd_sup(args):
     )
     cells_labeled = [[system.states[x] for x in cell] for cell in result.cells]
     doc = {
-        "command": "sup",
-        "config": _config_doc(args),
         "cells": cells_labeled,
         "estimate": _estimate_doc(result.estimate, args.units),
         "candidates": result.candidates,
@@ -411,30 +406,6 @@ def cmd_sup(args):
         f"best rate (last increment) = {doc['estimate']['last_increment']!r} ({args.units})",
     ]
     return Report(doc, ["cell", "states"], rows, summary), EXIT_OK
-
-
-def cmd_report(args):
-    system = load_system(args.system)
-    (part,) = _load_partitions(args, system, least=1, most=1)
-    docs, estimates, violations, truncated, rows = _all_sequences(args, system, part)
-    doc = {
-        "command": "report",
-        "config": _config_doc(args),
-        "system": system_to_document(system),
-        "partition": _partition_doc(part),
-        "sequences": docs,
-        "estimates": estimates,
-        "ordering_violations": violations,
-    }
-    summary = [
-        f"system of {system.n_states} states, partition with {part.n_outcomes} outcomes",
-        f"units = {args.units}",
-        "ordering: " + ("ok" if not violations else f"{len(violations)} VIOLATIONS"),
-    ]
-    if truncated:
-        summary.append("truncated: at least one kind hit a cap")
-    code = EXIT_INEQUALITY if violations else (EXIT_CAP if truncated else EXIT_OK)
-    return Report(doc, ["N", *_KIND_NAMES, "ordering"], rows, summary), code
 
 
 _COMMANDS = {
@@ -462,10 +433,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.threads = _threads_from_env()
-        report, code = _COMMANDS[args.command](args)
+        system = load_system(args.system)
+        parts = _load_partitions(args, system)
+        report, code = _COMMANDS[args.command](args, system, parts)
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS.items() if isinstance(exc, cls))
+    report.doc = {"command": args.command, "config": _config_doc(args)} | report.doc
     text = report.render(args.format)
     if args.out:
         try:

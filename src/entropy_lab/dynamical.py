@@ -431,7 +431,8 @@ def _sequence_value(
     dim_cap: int,
 ) -> float:
     if kind is EntropyKind.AFL:
-        return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=dim_cap))
+        # The afl state is indexed by the k^N words, so both caps bound it.
+        return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=min(word_cap, dim_cap)))
     if kind not in (EntropyKind.HUD, EntropyKind.MAK, EntropyKind.KOW):
         raise ValidationError(f"unknown entropy kind {kind!r}")
     mu = system.stationary
@@ -458,8 +459,9 @@ def entropy_sequence(
     state, which has the same nonzero spectrum; ``afl`` diagonalizes its
     k^N x k^N state, which for a sharp f is diagonal and needs no LAPACK
     call.  ``dim_cap`` bounds the diagonalized side: n for ``mak``, k^N for
-    ``afl``.  ``word_cap`` bounds the refinements of ``hud``, ``mak`` and
-    ``kow``.  Both caps must be at least 1 for every kind.
+    ``afl``; ``hud`` and ``kow`` diagonalize nothing, so it never stops them.
+    ``word_cap`` bounds the k^N words of every kind, ``afl`` included, whose
+    state is indexed by words.  Both caps must be at least 1 for every kind.
 
     The word-distribution and operational-state kinds are nondecreasing in
     depth; a decrease beyond 1e-9 would mean an internal fault and raises.
@@ -525,25 +527,19 @@ def iter_set_partitions(n: int, max_cells: int | None = None):
     """
     if n < 1:
         raise ValidationError("need at least one state")
-    assignment = [0] * n
-    bound = [0] * n
-    while True:
-        n_cells = bound[n - 1] + 1
-        if max_cells is None or n_cells <= max_cells:
-            cells = [[] for _ in range(n_cells)]
-            for x, c in enumerate(assignment):
-                cells[c].append(x)
-            yield tuple(tuple(cell) for cell in cells)
-        i = n - 1
-        while i > 0 and assignment[i] == bound[i - 1] + 1:
-            i -= 1
-        if i == 0:
+    limit = n if max_cells is None else max_cells
+
+    def grow(cells, x):
+        # State x joins each existing cell in turn, then opens a new one.
+        if x == n:
+            yield cells
             return
-        assignment[i] += 1
-        bound[i] = max(bound[i - 1], assignment[i])
-        for j in range(i + 1, n):
-            assignment[j] = 0
-            bound[j] = bound[i]
+        for c in range(len(cells)):
+            yield from grow(cells[:c] + (cells[c] + (x,),) + cells[c + 1 :], x + 1)
+        if len(cells) < limit:
+            yield from grow(cells + ((x,),), x + 1)
+
+    yield from grow((), 0)
 
 
 @dataclass(eq=False)

@@ -8,7 +8,8 @@ paths, the Markov block entropy uses its closed form, and word sampling
 either gathers whole cumulative rows for every sample or splits sample
 groups in a plain loop.  The decomposition functional is summed by loops
 over the weight tensor, and ``cnt_search`` is rebuilt one candidate at a
-time through the public ``Decomposition`` and ``cnt_functional``.
+time through the public ``Decomposition`` and ``cnt_functional``.  Set
+partitions are listed by filtering every string in ``itertools.product``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,23 @@ def shannon(p) -> float:
         if v > 0.0:
             total -= v * math.log(v)
     return total
+
+
+def set_partitions_by_product(n: int, max_cells: int | None = None) -> list:
+    """Set partitions of range(n) in canonical order, from restricted growth strings.
+
+    ``itertools.product`` lists every string over range(n) lexicographically;
+    a restricted growth string starts at 0 and never exceeds its running
+    maximum by more than 1.  Cell c holds the positions whose letter is c.
+    """
+    out = []
+    for letters in itertools.product(range(n), repeat=n):
+        if any(c > max(letters[:i], default=-1) + 1 for i, c in enumerate(letters)):
+            continue
+        n_cells = max(letters) + 1
+        if max_cells is None or n_cells <= max_cells:
+            out.append(tuple(tuple(x for x in range(n) if letters[x] == c) for c in range(n_cells)))
+    return out
 
 
 def iter_paths(transition: np.ndarray, stationary: np.ndarray, depth: int):

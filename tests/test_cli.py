@@ -135,6 +135,15 @@ class TestRate:
         assert doc["sequence"]["truncated_at"] == 12
         assert len(doc["sequence"]["values"]) == 11
 
+    def test_afl_obeys_the_word_cap(self):
+        code, doc, _ = run_json(
+            "rate", "--system", CHAIN, "--partition", BLUR,
+            "--kind", "afl", "--word-cap", "2", "--nmax", "3",
+        )
+        assert code == 3
+        assert doc["sequence"]["truncated_at"] == 2
+        assert len(doc["sequence"]["values"]) == 1
+
     def test_nmax_one_has_no_estimate(self):
         code, doc, _ = run_json(
             "rate", "--system", CHAIN, "--partition", EXTREMAL,
@@ -395,7 +404,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_inequality_violation_maps_to_exit_4(self, monkeypatch):
-        def explode(args):
+        def explode(args, system, parts):
             raise InequalityViolationError("ordering broke")
 
         monkeypatch.setitem(cli._COMMANDS, "validate", explode)
@@ -501,6 +510,40 @@ class TestCommandSettings:
         code, doc, _ = run_json(*argv)
         assert code == 0
         assert list(doc["config"]) == keys
+
+
+# Each command's argv without --partition, and the counts it must refuse.
+PARTITION_HEADS = {
+    "validate": ("validate", "--system", CHAIN),
+    "rate": ("rate", "--system", CHAIN, "--kind", "hud", "--nmax", "2"),
+    "compare": ("compare", "--system", CHAIN, "--nmax", "2"),
+    "cnt": ("cnt", "--system", CHAIN, "--budget", "2", "--seed", "1"),
+    "sample": ("sample", "--system", CHAIN, "--depth", "2", "--seed", "1"),
+    "report": ("report", "--system", CHAIN, "--nmax", "2"),
+}
+PARTITION_COUNTS = [
+    ("validate", 9, "0..8"),
+    *[(command, n, "1") for command in ("rate", "compare", "sample", "report") for n in (0, 2)],
+    ("cnt", 0, "1..2"),
+    ("cnt", 3, "1..2"),
+]
+
+
+class TestPartitionCounts:
+    """Each command refuses a --partition count outside its range."""
+
+    @pytest.mark.parametrize("command, count, expected", PARTITION_COUNTS)
+    def test_count_outside_the_range_is_a_usage_error(self, command, count, expected):
+        code, out, err = run(*PARTITION_HEADS[command], *("--partition", BLUR) * count)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {command} takes {expected} --partition arguments\n"
+
+    def test_sup_takes_no_partition(self):
+        code, out, err = run("sup", "--system", CHAIN, "--kind", "hud", "--partition", BLUR)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: --partition")
 
 
 class TestThreadsEnv:

@@ -29,6 +29,7 @@ from oracles import (
     induced_decomposition,
     markov_block_entropy,
     path_rho_afl,
+    set_partitions_by_product,
     shannon,
 )
 
@@ -619,6 +620,16 @@ class TestEntropySequence:
             two_state_chain, blur_partition, el.EntropyKind.MAK, 1, dim_cap=1
         ).truncated_at == 1
 
+    @pytest.mark.parametrize("sharp", [False, True], ids=["unsharp", "sharp"])
+    def test_word_cap_bounds_afl(self, two_state_chain, blur_partition, coin_extremal, sharp):
+        # The afl state is indexed by the k^N words; its sharp branch refines them.
+        part = coin_extremal if sharp else blur_partition
+        full = el.entropy_sequence(two_state_chain, part, el.EntropyKind.AFL, 4)
+        capped = el.entropy_sequence(two_state_chain, part, el.EntropyKind.AFL, 4, word_cap=4)
+        assert full.truncated_at is None
+        assert capped.truncated_at == 3
+        assert list(capped.values) == list(full.values[:2])
+
     @pytest.mark.parametrize("kind", list(el.EntropyKind))
     @pytest.mark.parametrize(
         "caps, message",
@@ -807,6 +818,13 @@ class TestIterSetPartitions:
     def test_max_cells_filter(self):
         # partitions of 4 elements into at most 2 cells: 1 + 7
         assert sum(1 for _ in iter_set_partitions(4, max_cells=2)) == 8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cells", ["none", 1, 2, "n"])
+    def test_order_equals_filtered_product(self, n, cells):
+        # sup_over_sharp breaks rate ties by this order, so all of it is pinned
+        max_cells = {"none": None, "n": n}.get(cells, cells)
+        assert list(iter_set_partitions(n, max_cells)) == set_partitions_by_product(n, max_cells)
 
 
 class TestSupOverSharp:

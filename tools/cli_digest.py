@@ -14,13 +14,17 @@ each setting a command does not read (``--units``, ``--word-cap`` and
 ``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
 ``--units`` on ``sample``), which exits 1, and a word or dimension cap below
 1 (``rate --kind afl --word-cap 0``, ``rate --kind hud --dim-cap 0``,
-``report --dim-cap -1``, ``sample --word-cap 0``), which exits 2; last,
-the degenerate shapes: ``cnt`` on a one-state system, whose decompositions
-have index sizes (1, 1) and which has one identification, and ``cnt`` on a
-three-state system whose third state has stationary mass 1e-16, so that
-marginal weight sums fall in (0, PRUNE_TOL] and are pruned, and ``cnt``
-with ``--budget 300`` on the two-state chain, whose random trials span two
-chunks of ``SCAN_CHUNK`` (256) candidates.
+``report --dim-cap -1``, ``sample --word-cap 0``), which exits 2, and one
+--partition count outside each command's range (``validate`` with 9,
+``rate``, ``compare``, ``report`` and ``sample`` with 0 and 2, ``cnt`` with
+0 and 3, and ``sup`` with 1, which takes none), which exits 1, and
+``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
+exits 3; last, the degenerate shapes: ``cnt`` on a one-state system,
+whose decompositions have index sizes (1, 1) and which has one
+identification, and ``cnt`` on a three-state system whose third state has
+stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
+and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
+whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
 from; fixtures and workloads always come from this checkout, so two trees
 are compared with
@@ -83,6 +87,16 @@ CAPS_BELOW_ONE = (
      "--word-cap", "0"),
 )
 
+PARTITION_COUNTS = {
+    ("validate", "--system", CHAIN): (9,),
+    ("rate", "--system", CHAIN, "--kind", "hud", "--nmax", "2"): (0, 2),
+    ("compare", "--system", CHAIN, "--nmax", "2"): (0, 2),
+    ("report", "--system", CHAIN, "--nmax", "2"): (0, 2),
+    ("sample", "--system", CHAIN, "--depth", "2", "--seed", "1"): (0, 2),
+    ("cnt", "--system", CHAIN, "--budget", "2", "--seed", "1"): (0, 3),
+    ("sup", "--system", CHAIN, "--kind", "hud", "--nmax", "2"): (1,),
+}
+
 
 def fixture_argvs():
     """Every command on every fixture system x partition, in every format."""
@@ -130,6 +144,11 @@ def error_argvs(directory: Path):
             yield [*head, flag, "8" if flag.endswith("cap") else "bits"]
     for argv in CAPS_BELOW_ONE:
         yield list(argv)
+    for head, counts in PARTITION_COUNTS.items():
+        for count in counts:
+            yield [*head, *("--partition", BLUR) * count]
+    yield ["rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "2",
+           "--nmax", "3"]
 
 
 def degenerate_argvs(directory: Path):
