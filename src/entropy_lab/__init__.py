@@ -19,9 +19,6 @@ from .decompositions import (
     Decomposition,
     entropy_defect,
     extremal_decompositions,
-    from_densities,
-    multi_marginal,
-    to_densities,
     trivial_decomposition,
 )
 from .documents import (
@@ -29,7 +26,6 @@ from .documents import (
     load_system,
     parse_partition,
     parse_system,
-    partition_to_document,
     system_to_document,
 )
 from .dynamical import (
@@ -47,14 +43,10 @@ from .dynamical import (
     mutual_information,
     rate_estimate,
     rho_afl,
-    rho_mak,
     sup_over_sharp,
 )
 from .entropy import (
-    diag_restrict,
     eta,
-    pushforward,
-    relative_entropy,
     shannon_entropy,
     symmetric_eigenvalues,
     von_neumann_entropy,
@@ -65,16 +57,13 @@ from .partitions import (
     distribution,
     evolve,
     join,
-    point_distribution,
     refine_afl,
     refine_mak,
     sharp_partition,
-    simple_decomposition,
     uniform_unsharp,
     word_code,
     word_from_code,
     word_label,
-    word_probability,
 )
 from .sampling import empirical_distribution, sample_words, tv_bound, tv_distance
 from .systems import (
@@ -83,7 +72,6 @@ from .systems import (
     make_deterministic,
     make_markov,
     stationary_measure,
-    theta_apply,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,13 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *settings, partitions=(0, 0)):
         """Add the shared flags; ``partitions`` is the (least, most) --partition count."""
         p.add_argument("--system", required=True, help="system document (JSON)")
-        if partitions[1]:
+        least, most = partitions
+        if most:
+            count = (
+                f"exactly {least}" if least == most
+                else f"{least} or {most}" if most == least + 1
+                else f"{least} to {most}"
+            )
             p.add_argument(
                 "--partition",
                 action="append",
                 dest="partitions",
                 metavar="PARTITION",
-                help="partition document (JSON); repeatable where noted",
+                help=f"partition document (JSON); this command takes {count}",
             )
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", help="write the report here instead of stdout")

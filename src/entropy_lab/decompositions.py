@@ -13,8 +13,8 @@ weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``
 for one g or for a stack of them.  A stack of decompositions is checked as
 a whole by ``_checked_stack``, with the row check ``Decomposition`` applies
 to each one, and handed out one read-only ``Decomposition`` per row.
-Pruning is the policy of the one-index builders and the marginals: they drop
-indices of weight below ``PRUNE_TOL``, which add nothing to any entropy (eta
+Pruning is the policy of ``extremal_decompositions`` and the marginals: they
+drop indices of weight below ``PRUNE_TOL``, which add nothing to any entropy (eta
 is continuous at 0) and would force divisions by ~0 when normalizing.
 """
 
@@ -37,9 +37,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Decomposition",
     "trivial_decomposition",
-    "from_densities",
-    "to_densities",
-    "multi_marginal",
     "extremal_decompositions",
     "entropy_defect",
 ]
@@ -170,47 +167,6 @@ def _induced(muv: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndar
     return weights, components
 
 
-def _pruned(weights: np.ndarray, components: np.ndarray) -> Decomposition:
-    """One-index decomposition of the indices with weight above PRUNE_TOL."""
-    keep = np.flatnonzero(weights > PRUNE_TOL)
-    if keep.size == 0:
-        raise ValidationError("every outcome has zero mass under mu")
-    kept = weights[keep]
-    return Decomposition(kept / kept.sum(), components[keep])
-
-
-def from_densities(mu, f) -> Decomposition:
-    """Decomposition induced by a partition of unity.
-
-    Component a is mu conditioned on response column a:
-    weights[a] = mu(f_a), components[a] = mu * f_a / mu(f_a).
-    Outcomes with weight below PRUNE_TOL are dropped.
-    """
-    from .partitions import PartitionOfUnity  # local import, avoids a cycle
-
-    if not isinstance(f, PartitionOfUnity):
-        f = PartitionOfUnity(f)
-    muv = as_prob_vector(mu, "mu")
-    if muv.shape[0] != f.n_states:
-        raise ValidationError("measure and partition sizes differ")
-    return _pruned(*_induced(muv, f.response))
-
-
-def to_densities(decomposition: Decomposition, mu):
-    """Inverse of from_densities where mu is strictly positive.
-
-    Returns the partition of unity with columns
-    g_a(x) = weights[a] * components[a, x] / mu(x).
-    """
-    from .partitions import PartitionOfUnity
-
-    muv = decomposition.check_recombines(mu)
-    if np.any(muv <= 0.0):
-        raise ValidationError("densities require a strictly positive measure")
-    response = (decomposition.weights[:, None] * decomposition.components / muv[None, :]).T
-    return PartitionOfUnity(response)
-
-
 def _other_axes(arity: int) -> list[tuple[int, ...]]:
     """For each index axis, the other axes its marginal sums over."""
     axes = tuple(range(arity))
@@ -226,7 +182,7 @@ def _axis_sums(weights: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
 def _marginals(
     weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...], axis_sums
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Weights and components of every axis' ``multi_marginal``, from one product.
+    """Weights and components of every axis' marginal decomposition, from one product.
 
     ``weights[:, None] * components`` is formed once and summed over the
     other axes of each axis.  The indices whose weight sum is above
@@ -253,20 +209,6 @@ def _defect(sum_etas, weight_etas: np.ndarray) -> float:
     return total - float(weight_etas.sum())
 
 
-def multi_marginal(decomposition: Decomposition, axis: int) -> Decomposition:
-    """Marginal decomposition along one index axis (0-based).
-
-    Marginal weights sum the weight tensor over all other axes; marginal
-    components are the weight-averaged components, renormalized.  Indices
-    whose marginal weight falls below PRUNE_TOL are dropped.
-    """
-    if not 0 <= axis < decomposition.arity:
-        raise ValidationError(f"axis {axis} outside range(0, {decomposition.arity})")
-    w, sizes = decomposition.weights, decomposition.index_sizes
-    marginals = _marginals(w, decomposition.components, sizes, _axis_sums(w, sizes))
-    return Decomposition(*marginals[axis])
-
-
 def entropy_defect(decomposition: Decomposition) -> float:
     """Shannon entropy gap sum_n S(marginal weights) - S(joint weights).
 
@@ -285,7 +227,8 @@ def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATI
     Each map assigns every state one outcome; the decomposition restricts mu
     to the level sets.  These are exactly the extreme points among the
     decompositions coarser than the point decomposition.  Yields
-    ``(assignment, Decomposition)`` pairs; empty level sets are pruned.
+    ``(assignment, Decomposition)`` pairs; level sets of weight at most
+    PRUNE_TOL are pruned.
     Raises CapExceededError if n_outcomes ** n_states exceeds ``cap``.
     """
     muv = as_prob_vector(mu, "mu")
@@ -299,4 +242,7 @@ def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATI
         )
     indicators = np.eye(n_outcomes)
     for assignment in itertools.product(range(n_outcomes), repeat=n):
-        yield assignment, _pruned(*_induced(muv, indicators[list(assignment)]))
+        weights, components = _induced(muv, indicators[list(assignment)])
+        keep = np.flatnonzero(weights > PRUNE_TOL)
+        kept = weights[keep]
+        yield assignment, Decomposition(kept / kept.sum(), components[keep])

@@ -40,7 +40,6 @@ __all__ = [
     "load_system",
     "load_partition",
     "system_to_document",
-    "partition_to_document",
 ]
 
 _SYSTEM_KEYS = {"name", "description", "states", "transition", "bernoulli", "stationary"}
@@ -161,12 +160,4 @@ def system_to_document(system: StochasticSystem) -> dict:
         "states": list(system.states),
         "transition": [[float(v) for v in row] for row in system.transition],
         "stationary": [float(v) for v in system.stationary],
-    }
-
-
-def partition_to_document(partition: PartitionOfUnity) -> dict:
-    """Serialize a partition; round-trips exactly through parse_partition."""
-    return {
-        "labels": list(partition.labels),
-        "response": [[float(v) for v in row] for row in partition.response],
     }

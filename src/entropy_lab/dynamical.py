@@ -65,7 +65,6 @@ __all__ = [
     "cnt_functional",
     "cnt_onetime",
     "cnt_search",
-    "rho_mak",
     "rho_afl",
     "entropy_sequence",
     "rate_estimate",
@@ -325,22 +324,6 @@ def cnt_search(
     )
 
 
-def rho_mak(mu, f, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Gram-matrix state of a partition under mu.
-
-    rho[k, l] = sum_x mu_x sqrt(f_k(x) f_l(x)): positive semidefinite with
-    unit trace, diagonal equal to the outcome distribution.
-    """
-    muv = as_prob_vector(mu, "mu")
-    matrix = _response_of(f, muv.shape[0])
-    k = matrix.shape[1]
-    if k > dim_cap:
-        raise CapExceededError(f"Gram matrix would be {k} x {k}, cap is {dim_cap}")
-    roots = np.sqrt(matrix)
-    rho = roots.T @ (muv[:, None] * roots)
-    return (rho + rho.T) / 2.0
-
-
 def rho_afl(
     system: StochasticSystem,
     f: PartitionOfUnity,
@@ -412,7 +395,8 @@ class EntropySequence:
 def _mak_state_side(mu: np.ndarray, refined: RefinedPartition, dim_cap: int) -> np.ndarray:
     """n x n Gram side S S^T of the mak state, S = sqrt(mu) sqrt(elements).
 
-    rho_mak = S^T S has the same nonzero spectrum, so both give one entropy.
+    The mak state is the k^N x k^N Gram matrix S^T S, which has the same
+    nonzero spectrum, so both give one entropy.
     """
     n = refined.n_states
     if n > dim_cap:

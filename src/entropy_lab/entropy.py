@@ -38,15 +38,11 @@ __all__ = [
     "EIG_FLOOR",
     "as_prob_vector",
     "as_stochastic_matrix",
-    "as_density_matrix",
     "eta",
     "shannon_entropy",
-    "relative_entropy",
     "relative_entropy_rows",
     "symmetric_eigenvalues",
     "von_neumann_entropy",
-    "diag_restrict",
-    "pushforward",
 ]
 
 
@@ -158,29 +154,6 @@ def symmetric_eigenvalues(m, name: str = "matrix") -> np.ndarray:
     return vals[::-1].copy()
 
 
-def _density_spectrum(rho, name: str) -> np.ndarray:
-    """Descending spectrum of a density matrix, with trace and floor checks.
-
-    The shape and symmetry checks are those of ``symmetric_eigenvalues``.
-    """
-    arr = np.asarray(rho, dtype=float)
-    vals = symmetric_eigenvalues(arr, name)
-    trace = float(np.trace(arr))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValidationError(f"{name} has trace {trace!r}, not 1 within {TRACE_TOL:.0e}")
-    if vals[-1] < -EIG_FLOOR:
-        raise ValidationError(
-            f"{name} has eigenvalue {float(vals[-1]):.3e} below -{EIG_FLOOR:.0e}"
-        )
-    return np.clip(vals, 0.0, None)
-
-
-def as_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: symmetric, unit trace, spectrum >= -1e-10."""
-    _density_spectrum(rho, name)
-    return np.array(rho, dtype=float)
-
-
 def eta(x):
     """Entropy integrand -x log x with eta(0) = 0, checked public entry point.
 
@@ -215,18 +188,6 @@ def shannon_entropy(p) -> float:
     return float(np.sum(_eta(arr)))
 
 
-def relative_entropy(p, q) -> float:
-    """Relative entropy sum p_i log(p_i / q_i), with the 0 log 0 = 0 rule.
-
-    Returns math.inf when p puts mass outside the support of q.
-    """
-    pa = as_prob_vector(p, "p")
-    qa = as_prob_vector(q, "q")
-    if pa.shape != qa.shape:
-        raise ValidationError(f"dimension mismatch: {pa.shape} vs {qa.shape}")
-    return float(relative_entropy_rows(pa[None, :], qa)[0])
-
-
 def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Relative entropy of each row of ``rows`` against ``q``, unvalidated.
 
@@ -243,27 +204,17 @@ def relative_entropy_rows(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy sum(eta(spectrum)) of a density matrix, in nats."""
-    vals = _density_spectrum(rho, "rho")
-    # Numerical spectra of valid densities may poke above 1 by ~1 ulp; _eta clips them.
+    """Von Neumann entropy sum(eta(spectrum)) of a density matrix, in nats.
+
+    rho must pass the shape and symmetry checks of ``symmetric_eigenvalues``,
+    have trace 1 within 1e-10 and no eigenvalue below -1e-10.
+    """
+    arr = np.asarray(rho, dtype=float)
+    vals = symmetric_eigenvalues(arr, "rho")
+    trace = float(np.trace(arr))
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValidationError(f"rho has trace {trace!r}, not 1 within {TRACE_TOL:.0e}")
+    if vals[-1] < -EIG_FLOOR:
+        raise ValidationError(f"rho has eigenvalue {float(vals[-1]):.3e} below -{EIG_FLOOR:.0e}")
+    # _eta clips the -1e-10 band to 0, and spectra that poke above 1 by ~1 ulp to 1.
     return float(np.sum(_eta(vals)))
-
-
-def diag_restrict(rho) -> np.ndarray:
-    """Diagonal of a density matrix as a probability vector."""
-    arr = as_density_matrix(rho)
-    diag = np.diagonal(arr).copy()
-    # PSD up to -1e-10 allows diagonal dips slightly past the generic clamp.
-    diag[(diag < 0.0) & (diag > -EIG_FLOOR)] = 0.0
-    return as_prob_vector(diag, "diag(rho)")
-
-
-def pushforward(p, m) -> np.ndarray:
-    """Image of a probability vector under a row-stochastic matrix: p @ m."""
-    pa = as_prob_vector(p, "p")
-    ma = as_stochastic_matrix(m, "m")
-    if ma.shape[0] != pa.shape[0]:
-        raise ValidationError(
-            f"pushforward shape mismatch: p has {pa.shape[0]} entries, m has {ma.shape[0]} rows"
-        )
-    return as_prob_vector(pa @ ma, "p @ m")

@@ -43,10 +43,7 @@ __all__ = [
     "refine_afl",
     "word_code",
     "word_from_code",
-    "word_probability",
     "distribution",
-    "point_distribution",
-    "simple_decomposition",
     "word_label",
 ]
 
@@ -280,35 +277,15 @@ def refine_afl(
     return RefinedPartition("afl", f.n_outcomes, depth, elements)
 
 
-def word_probability(system: StochasticSystem, f: PartitionOfUnity, word) -> float:
-    """Stationary probability of one outcome word under nested refinement.
-
-    Evaluates mu(f_{k0} * theta(f_{k1} * theta(...))) right to left in
-    O(depth * n^2) without materializing the full refinement.
-    """
-    if f.n_states != system.n_states:
-        raise ValidationError("partition does not match the system's state count")
-    symbols = tuple(int(k) for k in word)
-    if not symbols:
-        raise ValidationError("empty word")
-    for k in symbols:
-        if k < 0 or k >= f.n_outcomes:
-            raise ValidationError(f"symbol {k} outside range(0, {f.n_outcomes})")
-    g = f.response[:, symbols[-1]].copy()
-    for k in reversed(symbols[:-1]):
-        g = f.response[:, k] * (system.transition @ g)
-    return float(system.stationary @ g)
-
-
-def _response_of(f, n_states: int | None = None) -> np.ndarray:
-    """Response matrix of a partition or refinement, over n_states states if given."""
+def _response_of(f, n_states: int) -> np.ndarray:
+    """Response matrix of a partition or refinement over n_states states."""
     if isinstance(f, RefinedPartition):
         matrix = f.elements
     elif isinstance(f, PartitionOfUnity):
         matrix = f.response
     else:
         raise ValidationError(f"expected a partition, got {type(f).__name__}")
-    if n_states is not None and matrix.shape[0] != n_states:
+    if matrix.shape[0] != n_states:
         raise ValidationError("measure and partition sizes differ")
     return matrix
 
@@ -317,27 +294,3 @@ def distribution(mu, f) -> np.ndarray:
     """Outcome distribution mu(f_k) of a partition or refinement under mu."""
     muv = as_prob_vector(mu, "mu")
     return as_prob_vector(muv @ _response_of(f, muv.shape[0]), "outcome distribution")
-
-
-def point_distribution(f, x: int) -> np.ndarray:
-    """Outcome distribution of a single state: row x of the response matrix."""
-    matrix = _response_of(f)
-    if x < 0 or x >= matrix.shape[0]:
-        raise ValidationError(f"state index {x} outside range(0, {matrix.shape[0]})")
-    return matrix[x].copy()
-
-
-def simple_decomposition(f: PartitionOfUnity):
-    """Factor a partition through its distinct rows.
-
-    Returns ``(cells, kernel)`` where ``cells`` groups state indices with
-    identical response rows and ``kernel`` stacks the distinct rows, so
-    ``response[x] == kernel[cell_of_x]`` exactly.  This is the minimal
-    classical channel the measurement factors through.
-    """
-    rows, inverse = np.unique(f.response, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    cells = tuple(
-        tuple(int(x) for x in np.flatnonzero(inverse == c)) for c in range(rows.shape[0])
-    )
-    return cells, rows.copy()

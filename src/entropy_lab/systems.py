@@ -2,9 +2,8 @@
 
 A system bundles state labels, a row-stochastic transition matrix P
 (``transition[x, y]`` is the probability of jumping from x to y) and a
-strictly positive stationary measure.  The dual action on observables is
-``theta_apply``: f maps to P @ f, a positive unital map that preserves the
-stationary measure.
+strictly positive stationary measure.  The dual action on observables maps
+f to P @ f, a positive unital map that preserves the stationary measure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "make_markov",
     "make_bernoulli",
     "make_deterministic",
-    "theta_apply",
 ]
 
 
@@ -124,7 +122,7 @@ def make_markov(states, transition, stationary=None) -> StochasticSystem:
     if p.shape[1] != n:
         raise ValidationError(f"transition must be square, got {p.shape}")
     labels = _state_labels(states, n)
-    # Normalize rows exactly so theta_apply is unital to machine precision.
+    # Normalize rows exactly so the dual action P @ f is unital to machine precision.
     p = p / p.sum(axis=1, keepdims=True)
     if stationary is None:
         mu = stationary_measure(p)
@@ -170,15 +168,3 @@ def make_deterministic(mapping, stationary, states=None) -> StochasticSystem:
     transition = np.zeros((n, n))
     transition[np.arange(n), idx] = 1.0
     return make_markov(states, transition, stationary)
-
-
-def theta_apply(system: StochasticSystem, f) -> np.ndarray:
-    """One-step dual evolution of an observable: (theta f)(x) = sum_y P[x,y] f(y)."""
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (system.n_states,):
-        raise ValidationError(
-            f"observable has shape {arr.shape}, expected ({system.n_states},)"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("observable has non-finite entries")
-    return system.transition @ arr

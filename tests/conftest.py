@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import entropy_lab as el
+from entropy_lab.decompositions import Decomposition, _axis_sums, _marginals
+from entropy_lab.entropy import relative_entropy_rows
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,6 +34,17 @@ def random_partition(rng: np.random.Generator, n: int, k: int) -> el.PartitionOf
 
 def random_prob(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
+
+
+def marginal(dec: Decomposition, axis: int) -> Decomposition:
+    """Marginal decomposition of one index axis, from the code ``cnt_functional`` runs."""
+    w, sizes = dec.weights, dec.index_sizes
+    return Decomposition(*_marginals(w, dec.components, sizes, _axis_sums(w, sizes))[axis])
+
+
+def kl(p, q) -> float:
+    """Relative entropy of p against q by the library's row form ``relative_entropy_rows``."""
+    return float(relative_entropy_rows(np.array([p], dtype=float), np.asarray(q, dtype=float))[0])
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -30,12 +30,9 @@ from entropy_lab import (
     parse_system,
     rate_estimate,
     refine_afl,
-    relative_entropy,
     rho_afl,
-    rho_mak,
     shannon_entropy,
     sharp_partition,
-    simple_decomposition,
     symmetric_eigenvalues,
     trivial_decomposition,
     uniform_unsharp,
@@ -47,8 +44,14 @@ from entropy_lab.dynamical import _identification_decomposition
 from entropy_lab.partitions import distribution
 from entropy_lab.reports import LN2
 
-from conftest import FIXTURE_DIR, load_fixture, random_partition, random_prob, random_system
-from oracles import extremal_maximum, markov_block_entropy, path_word_distribution, shannon
+from conftest import FIXTURE_DIR, kl, load_fixture, random_partition, random_prob, random_system
+from oracles import (
+    extremal_maximum,
+    gram_state,
+    markov_block_entropy,
+    path_word_distribution,
+    shannon,
+)
 
 ETA_SUM_BIASED = 0.5623351446188083
 H_CHAIN = 0.38352279010702806
@@ -168,8 +171,10 @@ def test_criterion_05_ordering_chain_on_random_corpus():
 def test_criterion_06_sharp_factor_dominates_unsharp_partition():
     with criterion(6, "grouping equal response rows into a sharp factor only raises entropy"):
         for system, f in _random_corpus():
-            cells, _ = simple_decomposition(f)
-            chi = sharp_partition([list(c) for c in cells], system.n_states)
+            _, inverse = np.unique(f.response, axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            cells = [np.flatnonzero(inverse == c).tolist() for c in range(inverse.max() + 1)]
+            chi = sharp_partition(cells, system.n_states)
             mu = system.stationary
             for depth in (2, 3):
                 refined_f = refine_afl(system, f, depth)
@@ -229,12 +234,13 @@ def test_criterion_09_measurement_state_structure():
             system = random_system(rng, n)
             f = random_partition(rng, n, k)
             mu = system.stationary
-            for rho in (rho_mak(mu, f), rho_afl(system, f, 2), rho_afl(system, f, 3)):
+            gram = gram_state(mu, f.response)
+            for rho in (gram, rho_afl(system, f, 2), rho_afl(system, f, 3)):
                 assert np.max(np.abs(rho - rho.T)) <= 1e-12
                 assert abs(np.trace(rho) - 1.0) <= 1e-10
                 assert symmetric_eigenvalues(rho).min() >= -1e-10
-            np.testing.assert_allclose(np.diag(rho_mak(mu, f)), distribution(mu, f), atol=1e-12)
-            assert np.max(np.abs(rho_afl(system, f, 1) - rho_mak(mu, f))) <= 1e-12
+            np.testing.assert_allclose(np.diag(gram), distribution(mu, f), atol=1e-12)
+            assert np.max(np.abs(rho_afl(system, f, 1) - gram)) <= 1e-12
             assign = rng.integers(0, 2, n)
             if assign.min() == assign.max():
                 assign[0] = 1 - assign[0]
@@ -249,14 +255,14 @@ def test_criterion_09_measurement_state_structure():
         blur3 = PartitionOfUnity(np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]))
         for depth in (2, 3):
             lhs = rho_afl(cycle, blur3, depth)
-            rhs = rho_mak(cycle.stationary, refine_afl(cycle, blur3, depth))
+            rhs = gram_state(cycle.stationary, refine_afl(cycle, blur3, depth).elements)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
         # stochastic dynamics: those states differ, pinned here at depth 3
         fair = _fixture_system("bernoulli_fair")
         coin = _fixture_partition("coin_extremal", fair)
         gap = abs(
             von_neumann_entropy(rho_afl(fair, coin, 3))
-            - von_neumann_entropy(rho_mak(fair.stationary, refine_afl(fair, coin, 3)))
+            - von_neumann_entropy(gram_state(fair.stationary, refine_afl(fair, coin, 3).elements))
         )
         assert gap > 1e-6
 
@@ -274,14 +280,14 @@ def test_criterion_09_depth_two_identity_on_stochastic_corpus():
         fair = _fixture_system("bernoulli_fair")
         coin = _fixture_partition("coin_extremal", fair)
         lhs = rho_afl(fair, coin, 2)
-        rhs = rho_mak(fair.stationary, refine_afl(fair, coin, 2))
+        rhs = gram_state(fair.stationary, refine_afl(fair, coin, 2).elements)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
         rng = np.random.default_rng(92)
         for _ in range(10):
             system = random_system(rng, 3)
             f = random_partition(rng, 3, 2)
             lhs = rho_afl(system, f, 2)
-            rhs = rho_mak(system.stationary, refine_afl(system, f, 2))
+            rhs = gram_state(system.stationary, refine_afl(system, f, 2).elements)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -298,11 +304,11 @@ def test_criterion_10_classical_inequality_suite():
             assert avg - 1e-9 <= s_mix <= avg + shannon_entropy(lam) + 1e-9
             p, q = random_prob(rng, n), random_prob(rng, n)
             t = np.stack([random_prob(rng, m) for _ in range(n)])
-            assert relative_entropy(p @ t, q @ t) <= relative_entropy(p, q) + 1e-9
+            assert kl(p @ t, q @ t) <= kl(p, q) + 1e-9
             k = int(rng.integers(2, 4))
             system = random_system(rng, n)
             f = random_partition(rng, n, k)
-            bound = von_neumann_entropy(rho_mak(system.stationary, f))
+            bound = von_neumann_entropy(gram_state(system.stationary, f.response))
             assert hud_functional(system.stationary, f) <= bound + 1e-9
 
 

@@ -545,6 +545,22 @@ class TestPartitionCounts:
         assert out == ""
         assert err.startswith("error: unrecognized arguments: --partition")
 
+    def test_help_states_the_range(self):
+        stated = {
+            "validate": ((0, 8), "0 to 8"),
+            "cnt": ((1, 2), "1 or 2"),
+            **{name: ((1, 1), "exactly 1") for name in ("rate", "compare", "sample", "report")},
+            "sup": ((0, 0), None),
+        }
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert set(commands.choices) == set(stated)
+        for name, sub in commands.choices.items():
+            partition_range, count = stated[name]
+            assert sub.get_default("partition_range") == partition_range
+            helps = [a.help for a in sub._actions if a.dest == "partitions"]
+            expected = [f"partition document (JSON); this command takes {count}"] if count else []
+            assert helps == expected, name
+
 
 class TestThreadsEnv:
     def test_value_echoed_in_config(self, monkeypatch):

@@ -7,7 +7,7 @@ import entropy_lab as el
 from entropy_lab import CapExceededError, ValidationError
 from entropy_lab.decompositions import Decomposition
 
-from conftest import random_partition, random_prob
+from conftest import marginal, random_prob
 
 
 class TestDecomposition:
@@ -57,40 +57,6 @@ class TestTrivialDecomposition:
             el.trivial_decomposition([1.0], 0)
 
 
-class TestDensities:
-    def test_from_densities_weights_and_mixture(self, blur_partition):
-        mu = np.array([0.4, 0.6])
-        dec = el.from_densities(mu, blur_partition)
-        assert dec.weights == pytest.approx(mu @ blur_partition.response, abs=1e-15)
-        assert np.max(np.abs(dec.mixture() - mu)) <= 1e-15
-
-    def test_zero_mass_outcome_pruned(self):
-        part = el.PartitionOfUnity([[1.0, 0.0], [1.0, 0.0]])
-        dec = el.from_densities([0.5, 0.5], part)
-        assert dec.n_components == 1
-
-    def test_round_trip_partition(self):
-        rng = np.random.default_rng(6)
-        mu = random_prob(rng, 4)
-        part = random_partition(rng, 4, 3)
-        back = el.to_densities(el.from_densities(mu, part), mu)
-        assert np.max(np.abs(back.response - part.response)) <= 1e-12
-
-    def test_round_trip_decomposition(self):
-        rng = np.random.default_rng(13)
-        mu = random_prob(rng, 3)
-        part = random_partition(rng, 3, 4)
-        dec = el.from_densities(mu, part)
-        again = el.from_densities(mu, el.to_densities(dec, mu))
-        assert np.max(np.abs(again.weights - dec.weights)) <= 1e-12
-        assert np.max(np.abs(again.components - dec.components)) <= 1e-12
-
-    def test_to_densities_requires_positive_measure(self):
-        dec = Decomposition([1.0], [[1.0, 0.0]])
-        with pytest.raises(ValidationError, match="strictly positive"):
-            el.to_densities(dec, [1.0, 0.0])
-
-
 class TestMultiDecomposition:
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="need 4 weights"):
@@ -114,8 +80,8 @@ class TestMultiDecomposition:
         weights = np.outer(a, b).ravel()
         comps = np.tile([0.5, 0.5], (4, 1))
         dec = Decomposition(weights, comps, (2, 2))
-        m0 = el.multi_marginal(dec, 0)
-        m1 = el.multi_marginal(dec, 1)
+        m0 = marginal(dec, 0)
+        m1 = marginal(dec, 1)
         assert m0.weights == pytest.approx(a, abs=1e-15)
         assert m1.weights == pytest.approx(b, abs=1e-15)
         assert el.entropy_defect(dec) == pytest.approx(0.0, abs=1e-12)
@@ -126,14 +92,9 @@ class TestMultiDecomposition:
             [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]
         )
         dec = Decomposition(weights, comps, (2, 2))
-        m0 = el.multi_marginal(dec, 0)
+        m0 = marginal(dec, 0)
         assert m0.components[0] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert m0.components[1] == pytest.approx([0.375, 0.625], abs=1e-15)
-
-    def test_marginal_axis_out_of_range(self):
-        dec = el.trivial_decomposition([1.0], 2)
-        with pytest.raises(ValidationError):
-            el.multi_marginal(dec, 2)
 
     def test_entropy_defect_positive_when_correlated(self):
         # Perfectly correlated indices: defect = S(joint marginal pair).

@@ -12,7 +12,6 @@ from entropy_lab import (
     load_system,
     parse_partition,
     parse_system,
-    partition_to_document,
     system_to_document,
 )
 from entropy_lab.documents import load_json
@@ -187,12 +186,6 @@ class TestRoundTrips:
         assert again.states == two_state_chain.states
         assert np.array_equal(again.transition, two_state_chain.transition)
         assert np.array_equal(again.stationary, two_state_chain.stationary)
-
-    def test_partition_document_round_trip_is_exact(self, two_state_chain, blur_partition):
-        doc = partition_to_document(blur_partition)
-        again = parse_partition(doc, two_state_chain)
-        assert again.labels == blur_partition.labels
-        assert np.array_equal(again.response, blur_partition.response)
 
     def test_round_trip_survives_json_text(self, tmp_path, two_state_chain):
         # serialize through actual text, not just dicts

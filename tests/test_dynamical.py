@@ -18,7 +18,7 @@ from entropy_lab.dynamical import (
     iter_set_partitions,
 )
 
-from conftest import random_partition, random_prob, random_system
+from conftest import marginal, random_partition, random_prob, random_system
 from oracles import (
     BELL_NUMBERS,
     cnt_value,
@@ -63,7 +63,7 @@ class TestMutualInformation:
             n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             mu = random_prob(rng, n)
             part = random_partition(rng, n, k)
-            dec = el.from_densities(mu, random_partition(rng, n, 3))
+            dec = induced_decomposition(mu, random_partition(rng, n, 3).response, None)
             value = el.mutual_information(mu, dec, part)
             assert -1e-12 <= value
             assert value <= el.shannon_entropy(dec.weights) + 1e-9
@@ -159,7 +159,7 @@ class TestCntFunctional:
 
     def test_single_time_reduces_to_mutual_information(self, two_state_chain, blur_partition):
         mu = two_state_chain.stationary
-        dec = el.from_densities(mu, blur_partition)
+        dec = induced_decomposition(mu, blur_partition.response, None)
         assert el.cnt_functional(mu, dec, [blur_partition]) == pytest.approx(
             el.mutual_information(mu, dec, blur_partition), abs=1e-12
         )
@@ -264,7 +264,7 @@ class TestCntDecomposition:
     def test_equals_marginal_information_minus_defect(self, case):
         mu, dec, parts = case
         expected = sum(
-            el.mutual_information(mu, el.multi_marginal(dec, axis), parts[axis])
+            el.mutual_information(mu, marginal(dec, axis), parts[axis])
             for axis in range(dec.arity)
         ) - el.entropy_defect(dec)
         assert el.cnt_functional(mu, dec, parts) == expected
@@ -285,8 +285,8 @@ class TestCntEdgeCases:
         _, dec, _ = PRUNE_CASE
         tiny = dec.weights[3]
         assert 0.0 < tiny <= PRUNE_TOL
-        assert el.multi_marginal(dec, 0).n_components == 2
-        assert el.multi_marginal(dec, 1).n_components == 1
+        assert marginal(dec, 0).n_components == 2
+        assert marginal(dec, 1).n_components == 1
         # Leaving eta(1e-16) ~ 3.7e-15 out of the axis-1 sums would move it by more than 1e-15.
         defect = shannon([0.5, 0.5]) + shannon([1.0 - tiny, tiny]) - shannon(dec.weights)
         assert abs(el.entropy_defect(dec) - defect) <= 1e-15
@@ -294,8 +294,8 @@ class TestCntEdgeCases:
     def test_zero_index_case_prunes_both_axes(self):
         _, dec, _ = ZERO_INDEX_CASE
         assert np.count_nonzero(dec.weights) == 2
-        assert el.multi_marginal(dec, 0).n_components == 2
-        assert el.multi_marginal(dec, 1).n_components == 1
+        assert marginal(dec, 0).n_components == 2
+        assert marginal(dec, 1).n_components == 1
 
     def test_index_sizes_one_by_one(self):
         mu, dec, parts = ONE_BY_ONE_CASE
@@ -491,46 +491,10 @@ class TestCntSearch:
         assert result.best_value >= -1e-12
 
 
-class TestRhoMak:
-    def test_frozen_blur(self, two_state_chain, blur_partition):
-        rho = el.rho_mak(two_state_chain.stationary, blur_partition)
-        base = el.distribution(two_state_chain.stationary, blur_partition)
-        assert np.diagonal(rho) == pytest.approx(base, abs=1e-15)
-        assert rho[0, 1] == pytest.approx(0.4194191898318613, abs=1e-15)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(83)
-        for _ in range(20):
-            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            mu = random_prob(rng, n)
-            part = random_partition(rng, n, k)
-            lib = el.rho_mak(mu, part)
-            assert np.max(np.abs(lib - gram_state(mu, part.response))) <= 1e-13
-
-    def test_is_density_matrix(self):
-        rng = np.random.default_rng(89)
-        for _ in range(20):
-            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            part = random_partition(rng, n, k)
-            rho = el.rho_mak(random_prob(rng, n), part)
-            vals = el.symmetric_eigenvalues(rho)
-            assert vals[-1] >= -1e-10
-            assert abs(float(np.trace(rho)) - 1.0) <= 1e-10
-
-    def test_sharp_gives_diagonal(self, two_state_chain, coin_extremal):
-        rho = el.rho_mak(two_state_chain.stationary, coin_extremal)
-        assert rho[0, 1] == 0.0
-
-    def test_dim_cap(self, two_state_chain, coin_extremal):
-        refined = el.refine_afl(two_state_chain, coin_extremal, 12)
-        with pytest.raises(CapExceededError):
-            el.rho_mak(two_state_chain.stationary, refined)
-
-
 class TestRhoAfl:
     def test_depth_one_equals_gram(self, two_state_chain, blur_partition):
         a = el.rho_afl(two_state_chain, blur_partition, 1)
-        m = el.rho_mak(two_state_chain.stationary, blur_partition)
+        m = gram_state(two_state_chain.stationary, blur_partition.response)
         assert np.max(np.abs(a - m)) <= 1e-12
 
     def test_matches_path_oracle(self):
@@ -750,12 +714,12 @@ def gram_cases(draw):
 class TestMakStateSide:
     @settings(max_examples=80, deadline=None)
     @given(gram_cases())
-    def test_mak_state_side_matches_rho_mak(self, case):
+    def test_mak_state_side_matches_gram_state(self, case):
         system, part, depth = case
         refined = el.refine_afl(system, part, depth)
         side = _mak_state_side(system.stationary, refined, DEFAULT_DIM_CAP)
         assert side.shape == (system.n_states, system.n_states)
-        full = el.von_neumann_entropy(el.rho_mak(system.stationary, refined))
+        full = el.von_neumann_entropy(gram_state(system.stationary, refined.elements))
         assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12

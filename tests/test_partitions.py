@@ -220,68 +220,16 @@ class TestRefinements:
         assert np.array_equal(refined.element(word), refined.elements[:, code])
 
 
-class TestWordProbability:
-    def test_matches_refinement_distribution(self, two_state_chain, blur_partition):
-        refined = el.refine_afl(two_state_chain, blur_partition, 4)
-        dist = el.distribution(two_state_chain.stationary, refined)
-        for code in range(16):
-            word = el.word_from_code(code, 2, 4)
-            assert el.word_probability(
-                two_state_chain, blur_partition, word
-            ) == pytest.approx(float(dist[code]), abs=1e-12)
-
-    def test_rejects_bad_symbol(self, two_state_chain, blur_partition):
-        with pytest.raises(ValidationError):
-            el.word_probability(two_state_chain, blur_partition, (0, 2))
-
-
 class TestDistributions:
     def test_distribution_sums_one(self, two_state_chain, blur_partition):
         dist = el.distribution(two_state_chain.stationary, blur_partition)
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
         assert dist == pytest.approx([2 / 3 * 0.8 + 1 / 3 * 0.3, 2 / 3 * 0.2 + 1 / 3 * 0.7])
 
-    def test_point_distribution(self, blur_partition):
-        assert np.array_equal(el.point_distribution(blur_partition, 1), [0.3, 0.7])
-        with pytest.raises(ValidationError):
-            el.point_distribution(blur_partition, 2)
-
     def test_size_mismatch(self, blur_partition):
         with pytest.raises(ValidationError):
             el.distribution([1 / 3, 1 / 3, 1 / 3], blur_partition)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: el.distribution([0.5, 0.5], np.eye(2)),
-            lambda: el.point_distribution(np.eye(2), 0),
-        ],
-        ids=["distribution", "point_distribution"],
-    )
-    def test_rejects_a_bare_matrix(self, call):
+    def test_rejects_a_bare_matrix(self):
         with pytest.raises(ValidationError, match="expected a partition, got ndarray"):
-            call()
-
-
-class TestSimpleDecomposition:
-    def test_groups_identical_rows(self):
-        part = el.PartitionOfUnity([[0.8, 0.2], [0.3, 0.7], [0.8, 0.2]])
-        cells, kernel = el.simple_decomposition(part)
-        assert cells == ((1,), (0, 2))
-        assert np.array_equal(kernel, [[0.3, 0.7], [0.8, 0.2]])
-
-    def test_reconstruction_exact(self):
-        rng = np.random.default_rng(44)
-        part = random_partition(rng, 5, 3)
-        cells, kernel = el.simple_decomposition(part)
-        lookup = np.empty(5, dtype=int)
-        for c, cell in enumerate(cells):
-            for x in cell:
-                lookup[x] = c
-        assert np.array_equal(kernel[lookup], part.response)
-
-    def test_sharp_partition_kernel_is_permutation_of_identity(self):
-        part = el.sharp_partition([[0, 1], [2]], 3)
-        cells, kernel = el.simple_decomposition(part)
-        assert sorted(map(tuple, kernel.tolist())) == [(0.0, 1.0), (1.0, 0.0)]
-        assert cells == ((2,), (0, 1))
+            el.distribution([0.5, 0.5], np.eye(2))

@@ -15,14 +15,12 @@ from entropy_lab import (
     sample_words,
     tv_bound,
     tv_distance,
-    word_from_code,
-    word_probability,
 )
 from entropy_lab.partitions import distribution
 from entropy_lab._errors import CapExceededError, ValidationError
 
 from conftest import fixture_path, random_system, random_partition
-from oracles import sample_words_by_groups, sample_words_rowwise
+from oracles import path_word_distribution, sample_words_by_groups, sample_words_rowwise
 
 
 class TestSampleWords:
@@ -209,14 +207,12 @@ class TestAgreementWithAnalyticLaw:
         analytic = distribution(two_state_chain.stationary, ref)
         assert tv_distance(emp, analytic) <= tv_bound(2 ** depth, n)
 
-    def test_empirical_matches_word_probability_entrywise(self, fair_coin, coin_extremal):
+    def test_empirical_matches_path_oracle_entrywise(self, fair_coin, coin_extremal):
         depth, n = 3, 400000
         counts = sample_words(fair_coin, coin_extremal, depth, n, 2)
         emp = empirical_distribution(counts)
-        for code in range(2 ** depth):
-            word = word_from_code(code, 2, depth)
-            exact = word_probability(fair_coin, coin_extremal, word)
-            assert abs(emp[code] - exact) < 0.01
+        exact = path_word_distribution(fair_coin, coin_extremal.response, depth)
+        assert np.max(np.abs(emp - exact)) < 0.01
 
     def test_random_unsharp_system_within_bound(self):
         rng = np.random.default_rng(42)

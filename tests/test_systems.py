@@ -134,27 +134,29 @@ class TestMakeDeterministic:
             el.make_deterministic([0, 2], [0.5, 0.5])
 
 
-class TestThetaApply:
+class TestDualAction:
+    """f -> P @ f is unital, positive, measure preserving and a sup-norm contraction."""
+
     def test_unital_to_machine_precision(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             system = random_system(rng, int(rng.integers(2, 6)))
             ones = np.ones(system.n_states)
-            assert np.max(np.abs(el.theta_apply(system, ones) - 1.0)) <= 1e-12
+            assert np.max(np.abs(system.transition @ ones - 1.0)) <= 1e-12
 
     def test_positive(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             system = random_system(rng, 4)
             f = rng.random(4)
-            assert np.all(el.theta_apply(system, f) >= 0.0)
+            assert np.all(system.transition @ f >= 0.0)
 
     def test_measure_preserving(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             system = random_system(rng, int(rng.integers(2, 6)))
             f = rng.random(system.n_states) * 3.0 - 1.0
-            lhs = float(system.stationary @ el.theta_apply(system, f))
+            lhs = float(system.stationary @ (system.transition @ f))
             rhs = float(system.stationary @ f)
             assert abs(lhs - rhs) <= 1e-10
 
@@ -162,17 +164,4 @@ class TestThetaApply:
         rng = np.random.default_rng(30)
         system = random_system(rng, 5)
         f = rng.random(5)
-        assert np.max(np.abs(el.theta_apply(system, f))) <= np.max(np.abs(f)) + 1e-15
-
-    def test_rejects_wrong_shape(self, two_state_chain):
-        with pytest.raises(ValidationError):
-            el.theta_apply(two_state_chain, [1.0, 2.0, 3.0])
-
-    def test_rejects_non_finite(self, two_state_chain):
-        with pytest.raises(ValidationError):
-            el.theta_apply(two_state_chain, [np.nan, 0.0])
-
-    def test_matches_matrix_action(self, two_state_chain):
-        f = np.array([2.0, -1.0])
-        expected = two_state_chain.transition @ f
-        assert np.array_equal(el.theta_apply(two_state_chain, f), expected)
+        assert np.max(np.abs(system.transition @ f)) <= np.max(np.abs(f)) + 1e-15
