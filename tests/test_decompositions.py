@@ -5,9 +5,9 @@ import pytest
 
 import entropy_lab as el
 from entropy_lab import CapExceededError, ValidationError
-from entropy_lab.decompositions import Decomposition
+from entropy_lab.decompositions import Decomposition, _induced
 
-from conftest import marginal, random_prob
+from conftest import marginal, random_partition, random_prob
 
 
 class TestDecomposition:
@@ -43,6 +43,11 @@ class TestDecomposition:
         with pytest.raises(ValidationError, match="wrong measure"):
             dec.check_recombines([0.5, 0.5])
 
+    def test_check_recombines_rejects_dimension_mismatch(self):
+        dec = Decomposition([1.0], [[0.5, 0.5]])
+        with pytest.raises(ValidationError, match="measure dimension does not match"):
+            dec.check_recombines([1 / 3, 1 / 3, 1 / 3])
+
 
 class TestTrivialDecomposition:
     def test_exact_zero_arity_sizes(self):
@@ -55,6 +60,43 @@ class TestTrivialDecomposition:
     def test_rejects_bad_arity(self):
         with pytest.raises(ValidationError):
             el.trivial_decomposition([1.0], 0)
+
+
+class TestInduced:
+    """``_induced``, the one builder of every decomposition a response matrix induces."""
+
+    def test_weights_and_mixture(self, blur_partition):
+        mu = np.array([0.4, 0.6])
+        weights, components = _induced(mu, blur_partition.response)
+        assert np.array_equal(weights, mu @ blur_partition.response)
+        assert np.max(np.abs(weights @ components - mu)) <= 1e-15
+
+    def test_zero_weight_index_keeps_mu_as_placeholder(self):
+        mu = np.array([0.5, 0.5])
+        weights, components = _induced(mu, np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(weights, [1.0, 0.0])
+        assert np.array_equal(components[1], mu)
+
+    def test_components_recover_the_response(self):
+        # mu-densities of the components, times their weights, are the response columns.
+        rng = np.random.default_rng(6)
+        mu = random_prob(rng, 4)
+        part = random_partition(rng, 4, 3)
+        weights, components = _induced(mu, part.response)
+        densities = (weights[:, None] * components / mu).T
+        assert np.max(np.abs(densities - part.response)) <= 1e-12
+
+    def test_stack_gives_each_matrix_its_own_floats(self):
+        rng = np.random.default_rng(13)
+        mu = random_prob(rng, 3)
+        stack = np.stack([random_partition(rng, 3, 4).response for _ in range(3)])
+        stack[1, :, 0] += stack[1, :, 3]
+        stack[1, :, 3] = 0.0  # one index of zero weight inside the stack
+        weights, components = _induced(mu, stack)
+        for i in range(3):
+            alone_w, alone_c = _induced(mu, stack[i])
+            assert np.array_equal(weights[i], alone_w)
+            assert np.array_equal(components[i], alone_c)
 
 
 class TestMultiDecomposition:
@@ -95,6 +137,18 @@ class TestMultiDecomposition:
         m0 = marginal(dec, 0)
         assert m0.components[0] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert m0.components[1] == pytest.approx([0.375, 0.625], abs=1e-15)
+
+    def test_marginal_of_a_joined_decomposition_is_induced_by_its_factor(self):
+        rng = np.random.default_rng(17)
+        mu = random_prob(rng, 4)
+        f, g = random_partition(rng, 4, 2), random_partition(rng, 4, 3)
+        dec = Decomposition(*_induced(mu, el.join(f, g).response), (2, 3))
+        for axis, part in enumerate((f, g)):
+            weights, components = _induced(mu, part.response)
+            m = marginal(dec, axis)
+            assert np.max(np.abs(m.weights - weights)) <= 1e-12
+            assert np.max(np.abs(m.components - components)) <= 1e-12
+            assert np.max(np.abs(m.mixture() - mu)) <= 1e-12
 
     def test_entropy_defect_positive_when_correlated(self):
         # Perfectly correlated indices: defect = S(joint marginal pair).

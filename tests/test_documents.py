@@ -7,6 +7,7 @@ import pytest
 
 from entropy_lab import (
     DocumentError,
+    PartitionOfUnity,
     ValidationError,
     load_partition,
     load_system,
@@ -186,6 +187,14 @@ class TestRoundTrips:
         assert again.states == two_state_chain.states
         assert np.array_equal(again.transition, two_state_chain.transition)
         assert np.array_equal(again.stationary, two_state_chain.stationary)
+
+    def test_partition_document_round_trip_is_exact(self, two_state_chain):
+        # A random response survives JSON text: float repr and row normalization are exact.
+        part = PartitionOfUnity(np.random.default_rng(5).dirichlet(np.ones(3), size=2))
+        text = json.dumps({"response": part.response.tolist(), "labels": list(part.labels)})
+        again = parse_partition(json.loads(text), two_state_chain)
+        assert again.labels == part.labels
+        assert np.array_equal(again.response, part.response)
 
     def test_round_trip_survives_json_text(self, tmp_path, two_state_chain):
         # serialize through actual text, not just dicts

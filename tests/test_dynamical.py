@@ -492,6 +492,12 @@ class TestCntSearch:
 
 
 class TestRhoAfl:
+    def test_frozen_blur(self, two_state_chain, blur_partition):
+        rho = el.rho_afl(two_state_chain, blur_partition, 1)
+        base = el.distribution(two_state_chain.stationary, blur_partition)
+        assert np.diagonal(rho) == pytest.approx(base, abs=1e-15)
+        assert rho[0, 1] == pytest.approx(0.4194191898318613, abs=1e-15)
+
     def test_depth_one_equals_gram(self, two_state_chain, blur_partition):
         a = el.rho_afl(two_state_chain, blur_partition, 1)
         m = gram_state(two_state_chain.stationary, blur_partition.response)
@@ -559,6 +565,15 @@ class TestEntropySequence:
         )
         assert seq.truncated_at == 4
         assert seq.n_max == 3
+
+    def test_rejects_values_that_are_not_a_vector(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            el.EntropySequence(el.EntropyKind.KOW, [[0.1, 0.2]])
+
+    @pytest.mark.parametrize("bad", [-1e-6, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_values_that_are_not_finite_and_non_negative(self, bad):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            el.EntropySequence(el.EntropyKind.KOW, [0.1, bad])
 
     def test_rejects_bad_nmax(self, two_state_chain, coin_extremal):
         with pytest.raises(ValidationError):
@@ -723,6 +738,52 @@ class TestMakStateSide:
         assert abs(el.von_neumann_entropy(side) - full) <= 1e-12
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12
+
+    def test_frozen_blur(self, two_state_chain, blur_partition):
+        mu = two_state_chain.stationary
+        side = _mak_state_side(mu, el.refine_afl(two_state_chain, blur_partition, 1), 2)
+        assert np.diagonal(side) == pytest.approx(mu, abs=1e-15)
+        assert side[0, 1] == pytest.approx(0.4073235284134896, abs=1e-15)
+        assert el.von_neumann_entropy(side) == pytest.approx(0.22668532164552682, abs=1e-14)
+
+    def test_spectrum_matches_gram_oracle(self):
+        # S S^T and S^T S share their nonzero eigenvalues; the rest are zeros.
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            n, k, depth = (int(v) for v in rng.integers((2, 2, 1), (5, 5, 4)))
+            system = random_system(rng, n)
+            refined = el.refine_afl(system, random_partition(rng, n, k), depth)
+            side = el.symmetric_eigenvalues(
+                _mak_state_side(system.stationary, refined, DEFAULT_DIM_CAP)
+            )
+            full = el.symmetric_eigenvalues(gram_state(system.stationary, refined.elements))
+            size = max(side.size, full.size)
+            side, full = np.pad(side, (0, size - side.size)), np.pad(full, (0, size - full.size))
+            assert np.max(np.abs(side - full)) <= 1e-13
+
+    def test_is_density_matrix(self):
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            system = random_system(rng, n)
+            refined = el.refine_afl(system, random_partition(rng, n, k), 3)
+            side = _mak_state_side(system.stationary, refined, DEFAULT_DIM_CAP)
+            assert np.array_equal(side, side.T)
+            assert abs(float(np.trace(side)) - 1.0) <= 1e-12
+            assert el.symmetric_eigenvalues(side)[-1] >= -1e-10
+
+    def test_sharp_gives_diagonal(self, two_state_chain, coin_extremal):
+        mu = two_state_chain.stationary
+        for depth in (1, 2, 3):
+            refined = el.refine_afl(two_state_chain, coin_extremal, depth)
+            side = _mak_state_side(mu, refined, DEFAULT_DIM_CAP)
+            assert side[0, 1] == 0.0 and side[1, 0] == 0.0
+            assert np.diagonal(side) == pytest.approx(mu, abs=1e-15)
+
+    def test_dim_cap(self, two_state_chain, coin_extremal):
+        refined = el.refine_afl(two_state_chain, coin_extremal, 12)
+        with pytest.raises(CapExceededError, match="Gram side would be 2 x 2, cap is 1"):
+            _mak_state_side(two_state_chain.stationary, refined, 1)
 
 
 class TestSequenceValues:

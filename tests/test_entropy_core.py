@@ -128,6 +128,19 @@ class TestRelativeEntropy:
         assert math.isinf(values[1]) and math.isinf(values[2])
         assert relative_entropy_rows(rows[:1], q).shape == (1,)
 
+    def test_rows_match_a_termwise_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            rows = rng.dirichlet(np.ones(n), size=3) * (rng.random((3, n)) < 0.7)
+            rows[:, 0] += 1.0 - rows.sum(axis=1)
+            q = random_prob(rng, n) * (rng.random(n) < 0.8)
+            q[0] += 1.0 - q.sum()
+            for row, value in zip(rows, relative_entropy_rows(rows, q)):
+                terms = [p * math.log(p / r) if r > 0.0 else math.inf
+                         for p, r in zip(row, q) if p > 0.0]
+                assert value == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-14)
+
 
 class TestSymmetricEigenvalues:
     def test_frozen_2x2(self):

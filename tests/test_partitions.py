@@ -219,6 +219,24 @@ class TestRefinements:
         code = el.word_code(word, 2)
         assert np.array_equal(refined.element(word), refined.elements[:, code])
 
+    def test_element_rejects_bad_symbol(self, two_state_chain, blur_partition):
+        refined = el.refine_afl(two_state_chain, blur_partition, 2)
+        with pytest.raises(ValidationError, match=r"symbol 2 outside range\(0, 2\)"):
+            refined.element((0, 2))
+
+    def test_element_rejects_wrong_length(self, two_state_chain, blur_partition):
+        refined = el.refine_afl(two_state_chain, blur_partition, 2)
+        with pytest.raises(ValidationError, match="does not have length 2"):
+            refined.element((0, 1, 0))
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(ValidationError, match="unknown refinement scheme 'kow'"):
+            el.RefinedPartition("kow", 2, 1, np.eye(2))
+
+    def test_rejects_element_count_not_base_to_depth(self):
+        with pytest.raises(ValidationError, match=r"must have 4 columns, got shape \(2, 2\)"):
+            el.RefinedPartition("afl", 2, 2, np.eye(2))
+
 
 class TestDistributions:
     def test_distribution_sums_one(self, two_state_chain, blur_partition):
@@ -230,6 +248,16 @@ class TestDistributions:
         with pytest.raises(ValidationError):
             el.distribution([1 / 3, 1 / 3, 1 / 3], blur_partition)
 
-    def test_rejects_a_bare_matrix(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mu: el.distribution(mu, np.eye(2)),
+            lambda mu: el.hud_functional(mu, np.eye(2)),
+            lambda mu: el.mutual_information(mu, el.trivial_decomposition(mu), np.eye(2)),
+            lambda mu: el.cnt_functional(mu, el.trivial_decomposition(mu), [np.eye(2)]),
+        ],
+        ids=["distribution", "hud_functional", "mutual_information", "cnt_functional"],
+    )
+    def test_rejects_a_bare_matrix(self, call):
         with pytest.raises(ValidationError, match="expected a partition, got ndarray"):
-            el.distribution([0.5, 0.5], np.eye(2))
+            call([0.5, 0.5])
