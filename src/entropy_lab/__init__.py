@@ -32,7 +32,6 @@ from .dynamical import (
     CntSearchResult,
     EntropyKind,
     EntropySequence,
-    RateEstimate,
     SupResult,
     cnt_functional,
     cnt_onetime,
@@ -41,7 +40,6 @@ from .dynamical import (
     hud_functional,
     iter_set_partitions,
     mutual_information,
-    rate_estimate,
     rho_afl,
     sup_over_sharp,
 )
@@ -61,7 +59,6 @@ from .partitions import (
     refine_mak,
     sharp_partition,
     uniform_unsharp,
-    word_code,
     word_from_code,
     word_label,
 )

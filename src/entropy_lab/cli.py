@@ -40,7 +40,6 @@ from .dynamical import (
     EntropyKind,
     cnt_search,
     entropy_sequence,
-    rate_estimate,
     sup_over_sharp,
 )
 from .partitions import (
@@ -208,12 +207,13 @@ def _sequence_doc(seq, units) -> dict:
     }
 
 
-def _estimate_doc(est, units) -> dict:
+def _estimate_doc(seq, units) -> dict:
+    """The rate estimates of a sequence of at least two values: its tail."""
     return {
-        "kind": est.kind.value,
-        "depth": est.depth,
-        "last_increment": convert_units(est.last_increment, units),
-        "last_ratio": convert_units(est.last_ratio, units),
+        "kind": seq.kind.value,
+        "depth": seq.n_max,
+        "last_increment": convert_units(float(seq.increments[-1]), units),
+        "last_ratio": convert_units(float(seq.ratios[-1]), units),
     }
 
 
@@ -236,15 +236,14 @@ def cmd_rate(args, system, parts):
     seq = entropy_sequence(
         system, part, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap
     )
-    estimate = rate_estimate(seq) if seq.n_max >= 2 else None
     sdoc = _sequence_doc(seq, args.units)
     doc = {
         "sequence": sdoc,
-        "estimate": _estimate_doc(estimate, args.units) if estimate else None,
+        "estimate": _estimate_doc(seq, args.units) if seq.n_max >= 2 else None,
     }
     rows = list(zip(sdoc["n"], sdoc["values"], sdoc["increments"], sdoc["ratios"]))
     summary = [f"kind = {kind.value}", f"units = {args.units}"]
-    if estimate:
+    if doc["estimate"]:
         summary.append(f"rate (last increment) = {doc['estimate']['last_increment']!r}")
         summary.append(f"rate (last ratio) = {doc['estimate']['last_ratio']!r}")
     if seq.truncated_at is not None:
@@ -285,7 +284,7 @@ def _all_kinds(args, system, part, intro: list, ordering: str, ok: str):
     doc = {
         "sequences": docs,
         "estimates": {
-            k.value: _estimate_doc(rate_estimate(s), args.units)
+            k.value: _estimate_doc(s, args.units)
             for k, s in seqs.items()
             if s.n_max >= 2
         },
@@ -402,7 +401,7 @@ def cmd_sup(args, system, parts):
     cells_labeled = [[system.states[x] for x in cell] for cell in result.cells]
     doc = {
         "cells": cells_labeled,
-        "estimate": _estimate_doc(result.estimate, args.units),
+        "estimate": _estimate_doc(result.sequence, args.units),
         "candidates": result.candidates,
     }
     rows = [(i, "+".join(cell)) for i, cell in enumerate(cells_labeled)]

@@ -47,8 +47,8 @@ class Decomposition:
     """Weights and component measures of a finite convex decomposition.
 
     ``index_sizes`` shapes the component index as a product of index sets,
-    flat in C order (last index fastest); it defaults to
-    ``(n_components,)``, a one-index decomposition.
+    flat in C order (last index fastest); it defaults to one index over all
+    components.
     """
 
     weights: np.ndarray
@@ -79,10 +79,6 @@ class Decomposition:
         return decomposition
 
     @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def n_states(self) -> int:
         return self.components.shape[1]
 
@@ -90,19 +86,16 @@ class Decomposition:
     def arity(self) -> int:
         return len(self.index_sizes)
 
-    def mixture(self) -> np.ndarray:
-        """The recombined measure sum_a weights[a] * components[a]."""
-        return self.weights @ self.components
-
     def check_recombines(self, mu) -> np.ndarray:
         """Return mu checked by ``as_prob_vector``, tiny negatives clamped to 0.
 
-        Raises unless the decomposition reassembles mu within SUM_TOL.
+        Raises unless the recombined measure sum_a weights[a] * components[a]
+        reassembles mu within SUM_TOL.
         """
         target = as_prob_vector(mu, "mu")
         if target.shape[0] != self.n_states:
             raise ValidationError("measure dimension does not match components")
-        gap = float(np.abs(self.mixture() - target).max())
+        gap = float(np.abs(self.weights @ self.components - target).max())
         if gap > SUM_TOL:
             raise ValidationError(
                 f"decomposition recombines to the wrong measure: max gap {gap:.3e} > {SUM_TOL:.0e}"

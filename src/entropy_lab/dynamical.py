@@ -1,4 +1,4 @@
-"""Dynamical entropy functionals, sequences, and rate estimation.
+"""Dynamical entropy functionals, their depth sequences, and the sup over partitions.
 
 Four entropy notions are computed from a system and a partition of unity,
 all reducing to the classical dynamical entropy on sharp partitions of
@@ -11,6 +11,8 @@ deterministic dynamics but ordered strictly on unsharp or stochastic input:
 
 At every depth N the chain hud <= mak, hud <= afl <= kow holds; kow - afl
 measures decoherence lost to the diagonal, mak - hud is a Holevo-type gap.
+A rate is the tail of an ``EntropySequence``: its last increment and its
+last ratio, which agree in the limit but differ in finite-size bias.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .partitions import (
     _check_refine_args,
     _response_of,
     evolve,
+    join,
     refine_afl,
     sharp_partition,
 )
@@ -57,7 +60,6 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "EntropyKind",
     "EntropySequence",
-    "RateEstimate",
     "CntSearchResult",
     "SupResult",
     "mutual_information",
@@ -67,7 +69,6 @@ __all__ = [
     "cnt_search",
     "rho_afl",
     "entropy_sequence",
-    "rate_estimate",
     "sup_over_sharp",
     "iter_set_partitions",
 ]
@@ -281,6 +282,9 @@ def cnt_search(
     ``SCAN_CHUNK`` decompositions, each built as one stack and validated
     once.  Every candidate gets one ``cnt_functional`` call, and a later
     candidate replaces the witness only when its value is strictly larger.
+    No decomposition's value exceeds the information I(X; f, g) that both
+    outcomes carry together, hud_functional(mu, join(f, g)); a best value
+    above it by more than ``MI_FORM_TOL`` raises InequalityViolationError.
     """
     if budget < 0:
         raise ValidationError("budget must be >= 0")
@@ -314,6 +318,12 @@ def cnt_search(
             if value > best_value:
                 best_value, best_witness, best_label = value, dec, f"{family}:{key}"
 
+    bound = hud_functional(mu, join(*parts))
+    if best_value > bound + MI_FORM_TOL:
+        raise InequalityViolationError(
+            f"cnt search value {best_value!r} exceeds the two-time bound "
+            f"hud(f v g) = {bound!r}"
+        )
     return CntSearchResult(
         best_value=best_value,
         witness=best_witness,
@@ -363,7 +373,9 @@ class EntropySequence:
 
     ``truncated_at`` records the first depth whose computation hit a
     resource cap; values stop just before it.  Increments use the s_0 = 0
-    convention, so the first increment equals the first value.
+    convention, so the first increment equals the first value.  From depth 2
+    on, the last increment s_N - s_{N-1} and the last ratio s_N / N are the
+    two rate estimates.
     """
 
     kind: EntropyKind
@@ -473,35 +485,6 @@ def entropy_sequence(
     return EntropySequence(kind=kind, values=np.asarray(values), truncated_at=truncated_at)
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Tail-based entropy rate estimates from a finite sequence."""
-
-    kind: EntropyKind
-    depth: int
-    last_increment: float
-    last_ratio: float
-
-
-def rate_estimate(sequence: EntropySequence) -> RateEstimate:
-    """Estimate the asymptotic rate from the tail of a sequence.
-
-    Reports both the last increment s_N - s_{N-1} and the last ratio
-    s_N / N; they agree in the limit but differ in finite-size bias.
-    Requires at least two values.
-    """
-    values = sequence.values
-    if values.shape[0] < 2:
-        raise ValidationError("need at least two sequence values to estimate a rate")
-    n = values.shape[0]
-    return RateEstimate(
-        kind=sequence.kind,
-        depth=n,
-        last_increment=float(values[-1] - values[-2]),
-        last_ratio=float(values[-1] / n),
-    )
-
-
 def iter_set_partitions(n: int, max_cells: int | None = None):
     """Iterate set partitions of range(n) in canonical order.
 
@@ -528,11 +511,10 @@ def iter_set_partitions(n: int, max_cells: int | None = None):
 
 @dataclass(eq=False)
 class SupResult:
-    """Winning sharp partition of a rate-maximization sweep."""
+    """Winning sharp partition of a rate-maximization sweep and its sequence."""
 
     cells: tuple[tuple[int, ...], ...]
-    partition: PartitionOfUnity
-    estimate: RateEstimate
+    sequence: EntropySequence
     candidates: int
 
 
@@ -548,13 +530,15 @@ def sup_over_sharp(
     word_cap: int = DEFAULT_WORD_CAP,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> SupResult:
-    """Maximize the rate estimate over all sharp partitions of the states.
+    """Maximize the last increment of the sequence over all sharp partitions.
 
     Exhaustive over set partitions (feasible up to 8 states; 4140
     candidates at 8).  ``cell_budget``, when given, is the most cells a
-    candidate may have, and must be at least 1.  The winner is the largest
-    last-increment estimate; ties within 1e-12 go to the lexicographically
-    smallest canonical cell list, so results are reproducible.
+    candidate may have, and must be at least 1.  A candidate whose sequence
+    stops before depth 2 has no increment and is skipped.  The winner has
+    the largest last increment; ties within 1e-12 go to the
+    lexicographically smallest canonical cell list, so results are
+    reproducible.
     """
     n = system.n_states
     if n > MAX_EXHAUSTIVE_STATES:
@@ -565,24 +549,22 @@ def sup_over_sharp(
         raise ValidationError("n_max must be >= 2 so a rate can be estimated")
     if cell_budget is not None and cell_budget < 1:
         raise ValidationError(f"cell_budget must be >= 1, got {cell_budget}")
-    best = None  # (cells, partition, estimate) of the leading candidate
+    best = None  # (cells, sequence, last increment) of the leading candidate
     candidates = 0
     for cells in iter_set_partitions(n, cell_budget):
-        part = sharp_partition(cells, n)
         sequence = entropy_sequence(
-            system, part, kind, n_max, word_cap=word_cap, dim_cap=dim_cap
+            system, sharp_partition(cells, n), kind, n_max, word_cap=word_cap, dim_cap=dim_cap
         )
         if sequence.n_max < 2:
             continue
-        estimate = rate_estimate(sequence)
         candidates += 1
-        rate = estimate.last_increment
+        rate = sequence.increments[-1]
         if (
             best is None
-            or rate > best[2].last_increment + 1e-12
-            or (abs(rate - best[2].last_increment) <= 1e-12 and cells < best[0])
+            or rate > best[2] + 1e-12
+            or (abs(rate - best[2]) <= 1e-12 and cells < best[0])
         ):
-            best = (cells, part, estimate)
+            best = (cells, sequence, rate)
     if best is None:
         raise ValidationError("no sharp partition produced a rateable sequence")
-    return SupResult(*best, candidates)
+    return SupResult(best[0], best[1], candidates)

@@ -41,7 +41,6 @@ __all__ = [
     "evolve",
     "refine_mak",
     "refine_afl",
-    "word_code",
     "word_from_code",
     "distribution",
     "word_label",
@@ -145,19 +144,16 @@ def evolve(system: StochasticSystem, f: PartitionOfUnity) -> PartitionOfUnity:
 class RefinedPartition:
     """Materialized refinement: one element column per length-``depth`` word.
 
-    ``elements[x, word_code(w, base_outcomes)]`` is element w evaluated at
-    state x.  Column order is the big-endian word code, so slicing columns
-    by leading symbol is contiguous.
+    ``elements[x, c]`` is the element of word ``word_from_code(c,
+    base_outcomes, depth)`` evaluated at state x.  Column order is the
+    big-endian word code, so slicing columns by leading symbol is contiguous.
     """
 
-    scheme: str
     base_outcomes: int
     depth: int
     elements: np.ndarray
 
     def __post_init__(self):
-        if self.scheme not in ("afl", "mak"):
-            raise ValidationError(f"unknown refinement scheme {self.scheme!r}")
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
         arr = as_stochastic_matrix(self.elements, "elements")
@@ -177,28 +173,9 @@ class RefinedPartition:
     def n_words(self) -> int:
         return self.elements.shape[1]
 
-    def element(self, word) -> np.ndarray:
-        """Element observable for an outcome word (sequence of symbols)."""
-        return self.elements[:, word_code(word, self.base_outcomes, self.depth)].copy()
-
-
-def word_code(word, base: int, depth: int | None = None) -> int:
-    """Big-endian integer code of an outcome word; symbol 0 is most significant."""
-    symbols = tuple(int(k) for k in word)
-    if depth is not None and len(symbols) != depth:
-        raise ValidationError(f"word {symbols} does not have length {depth}")
-    if not symbols:
-        raise ValidationError("empty word")
-    code = 0
-    for k in symbols:
-        if k < 0 or k >= base:
-            raise ValidationError(f"symbol {k} outside range(0, {base})")
-        code = code * base + k
-    return code
-
 
 def word_from_code(code: int, base: int, depth: int) -> tuple[int, ...]:
-    """Inverse of word_code."""
+    """Outcome word of a big-endian integer code; symbol 0 is most significant."""
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     if code < 0 or code >= base**depth:
@@ -256,7 +233,7 @@ def refine_mak(
         evolved = system.transition @ evolved
         # Append the newest symbol as the least significant digit.
         elements = (elements[:, :, None] * evolved[:, None, :]).reshape(n, -1)
-    return RefinedPartition("mak", f.n_outcomes, depth, elements)
+    return RefinedPartition(f.n_outcomes, depth, elements)
 
 
 def refine_afl(
@@ -274,7 +251,7 @@ def refine_afl(
         # Prepend the newest symbol: element(k0 w) = f_{k0} * theta(element(w)).
         inner = system.transition @ elements
         elements = (f.response[:, :, None] * inner[:, None, :]).reshape(n, -1)
-    return RefinedPartition("afl", f.n_outcomes, depth, elements)
+    return RefinedPartition(f.n_outcomes, depth, elements)
 
 
 def _response_of(f, n_states: int) -> np.ndarray:

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from entropy_lab import cli
+import entropy_lab as el
+from entropy_lab import cli, dynamical
 from entropy_lab._errors import InequalityViolationError
 from entropy_lab.cli import main
+from entropy_lab.documents import load_partition, load_system
 from entropy_lab.reports import LN2, Report, convert_units, fmt
 
 from conftest import fixture_path
@@ -218,6 +220,30 @@ class TestCnt:
         )
         assert code == 1
         assert "error" in err
+
+    def test_value_above_the_two_time_bound_exits_4(self, monkeypatch):
+        system = load_system(CHAIN)
+        f = load_partition(BLUR, system)
+        bound = el.hud_functional(system.stationary, el.join(f, el.evolve(system, f)))
+        real, calls = dynamical.cnt_functional, []
+
+        def one_candidate_above(mu, decomposition, partitions):
+            calls.append(decomposition)
+            if len(calls) == 3:
+                return bound + 1e-6
+            return real(mu, decomposition, partitions)
+
+        monkeypatch.setattr(dynamical, "cnt_functional", one_candidate_above)
+        code, out, err = run(
+            "cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--budget", "2"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"error: cnt search value {bound + 1e-6!r} exceeds the two-time bound "
+            f"hud(f v g) = {bound!r}\n"
+        )
+        assert len(calls) == 1 + 2 ** 4 + 2
 
 
 class TestSample:

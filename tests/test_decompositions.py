@@ -13,7 +13,7 @@ from conftest import marginal, random_partition, random_prob
 class TestDecomposition:
     def test_mixture(self):
         dec = Decomposition([0.25, 0.75], [[1.0, 0.0], [0.0, 1.0]])
-        assert dec.mixture() == pytest.approx([0.25, 0.75], abs=1e-15)
+        assert dec.weights @ dec.components == pytest.approx([0.25, 0.75], abs=1e-15)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValidationError):
@@ -55,7 +55,7 @@ class TestTrivialDecomposition:
         dec = el.trivial_decomposition(mu, 2)
         assert dec.index_sizes == (1, 1)
         assert dec.weights[0] == 1.0
-        assert np.array_equal(dec.mixture(), np.asarray(mu))
+        assert np.array_equal(dec.weights @ dec.components, np.asarray(mu))
 
     def test_rejects_bad_arity(self):
         with pytest.raises(ValidationError):
@@ -148,7 +148,7 @@ class TestMultiDecomposition:
             m = marginal(dec, axis)
             assert np.max(np.abs(m.weights - weights)) <= 1e-12
             assert np.max(np.abs(m.components - components)) <= 1e-12
-            assert np.max(np.abs(m.mixture() - mu)) <= 1e-12
+            assert np.max(np.abs(m.weights @ m.components - mu)) <= 1e-12
 
     def test_entropy_defect_positive_when_correlated(self):
         # Perfectly correlated indices: defect = S(joint marginal pair).
@@ -174,13 +174,13 @@ class TestExtremalDecompositions:
         items = list(el.extremal_decompositions(mu, 2))
         assert len(items) == 2**3
         for _, dec in items:
-            assert np.max(np.abs(dec.mixture() - mu)) <= 1e-12
+            assert np.max(np.abs(dec.weights @ dec.components - mu)) <= 1e-12
 
     def test_finest_decomposition_present(self):
         mu = np.array([0.2, 0.3, 0.5])
         for assignment, dec in el.extremal_decompositions(mu, 3):
             if assignment == (0, 1, 2):
-                assert dec.n_components == 3
+                assert dec.weights.shape[0] == 3
                 assert np.array_equal(dec.components, np.eye(3))
                 assert dec.weights == pytest.approx(mu, abs=1e-15)
                 break
@@ -191,7 +191,7 @@ class TestExtremalDecompositions:
         mu = np.array([0.4, 0.6])
         items = list(el.extremal_decompositions(mu, 1))
         assert len(items) == 1
-        assert items[0][1].n_components == 1
+        assert items[0][1].weights.shape[0] == 1
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -201,5 +201,5 @@ class TestExtremalDecompositions:
         mu = np.array([0.5, 0.5])
         for assignment, dec in el.extremal_decompositions(mu, 3):
             if assignment == (0, 0):
-                assert dec.n_components == 1
+                assert dec.weights.shape[0] == 1
                 break

@@ -1,5 +1,6 @@
 """Entropy functionals, Gram states, sequences, rates, and searches."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import entropy_lab as el
 from entropy_lab import CapExceededError, InequalityViolationError, ValidationError, dynamical
+from entropy_lab.cli import _estimate_doc
 from entropy_lab.decompositions import PRUNE_TOL, Decomposition
 from entropy_lab.dynamical import (
     DEFAULT_DIM_CAP,
@@ -285,8 +287,8 @@ class TestCntEdgeCases:
         _, dec, _ = PRUNE_CASE
         tiny = dec.weights[3]
         assert 0.0 < tiny <= PRUNE_TOL
-        assert marginal(dec, 0).n_components == 2
-        assert marginal(dec, 1).n_components == 1
+        assert marginal(dec, 0).weights.shape[0] == 2
+        assert marginal(dec, 1).weights.shape[0] == 1
         # Leaving eta(1e-16) ~ 3.7e-15 out of the axis-1 sums would move it by more than 1e-15.
         defect = shannon([0.5, 0.5]) + shannon([1.0 - tiny, tiny]) - shannon(dec.weights)
         assert abs(el.entropy_defect(dec) - defect) <= 1e-15
@@ -294,8 +296,8 @@ class TestCntEdgeCases:
     def test_zero_index_case_prunes_both_axes(self):
         _, dec, _ = ZERO_INDEX_CASE
         assert np.count_nonzero(dec.weights) == 2
-        assert marginal(dec, 0).n_components == 2
-        assert marginal(dec, 1).n_components == 1
+        assert marginal(dec, 0).weights.shape[0] == 2
+        assert marginal(dec, 1).weights.shape[0] == 1
 
     def test_index_sizes_one_by_one(self):
         mu, dec, parts = ONE_BY_ONE_CASE
@@ -808,19 +810,31 @@ class TestSequenceValues:
 
 
 class TestRateEstimate:
+    """A rate estimate is the tail of its sequence, as ``cli._estimate_doc`` reports it."""
+
     def test_markov_rate(self, two_state_chain, coin_extremal):
         seq = el.entropy_sequence(two_state_chain, coin_extremal, el.EntropyKind.KOW, 8)
-        est = el.rate_estimate(seq)
-        assert est.last_increment == pytest.approx(H_CHAIN, abs=1e-10)
-        assert est.last_ratio == pytest.approx(
+        est = _estimate_doc(seq, "nats")
+        assert est["last_increment"] == pytest.approx(H_CHAIN, abs=1e-10)
+        assert est["last_ratio"] == pytest.approx(
             (S_MU_CHAIN + 7 * H_CHAIN) / 8.0, abs=1e-10
         )
-        assert est.depth == 8
+        assert est["depth"] == 8
 
-    def test_requires_two_values(self, two_state_chain, coin_extremal):
-        seq = el.entropy_sequence(two_state_chain, coin_extremal, el.EntropyKind.KOW, 1)
-        with pytest.raises(ValidationError, match="at least two"):
-            el.rate_estimate(seq)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(el.EntropyKind)),
+        st.lists(
+            st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False), min_size=2, max_size=12
+        ).map(sorted),
+    )
+    def test_estimate_is_the_sequence_tail(self, kind, values):
+        est = _estimate_doc(el.EntropySequence(kind, values), "nats")
+        n = len(values)
+        assert est["kind"] == kind.value
+        assert est["depth"] == n
+        assert est["last_increment"] == values[-1] - values[-2]
+        assert est["last_ratio"] == values[-1] / n
 
 
 class TestIterSetPartitions:
@@ -856,12 +870,12 @@ class TestSupOverSharp:
     def test_chain_winner_is_extremal(self, two_state_chain):
         result = el.sup_over_sharp(two_state_chain, el.EntropyKind.KOW, 6)
         assert result.cells == ((0,), (1,))
-        assert result.estimate.last_increment == pytest.approx(H_CHAIN, abs=1e-9)
+        assert result.sequence.increments[-1] == pytest.approx(H_CHAIN, abs=1e-9)
         assert result.candidates == 2
 
     def test_deterministic_cycle_all_rates_zero(self, three_cycle):
         result = el.sup_over_sharp(three_cycle, el.EntropyKind.KOW, 5)
-        assert result.estimate.last_increment == pytest.approx(0.0, abs=1e-10)
+        assert result.sequence.increments[-1] == pytest.approx(0.0, abs=1e-10)
         # tie on rate 0 resolves to the lexicographically smallest cell list,
         # which among canonical partitions is the one into singletons
         assert result.cells == ((0,), (1,), (2,))
@@ -873,6 +887,19 @@ class TestSupOverSharp:
         )
         assert result.cells == ((0, 1, 2),)
         assert result.candidates == 1
+
+    def test_skips_candidates_without_an_increment(self, doubly_stochastic):
+        # Three cells give 9 words at depth 2, over the cap: one value, no increment.
+        result = el.sup_over_sharp(doubly_stochastic, el.EntropyKind.KOW, 3, word_cap=4)
+        assert result.candidates == BELL_NUMBERS[3] - 1
+        assert len(result.cells) < 3
+        assert result.sequence.n_max == 2
+        assert result.sequence.truncated_at == 3
+
+    def test_result_fields(self):
+        assert [f.name for f in dataclasses.fields(el.SupResult)] == [
+            "cells", "sequence", "candidates"
+        ]
 
     def test_rejects_large_systems(self):
         system = el.make_bernoulli(np.full(9, 1.0 / 9.0))

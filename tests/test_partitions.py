@@ -1,5 +1,7 @@
 """Partitions of unity, refinements, the word codec, and their oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,21 +119,21 @@ class TestEvolve:
 
 class TestWordCodec:
     def test_big_endian(self):
-        assert el.word_code((1, 0, 2), 3) == 11
         assert el.word_from_code(11, 3, 3) == (1, 0, 2)
 
     def test_round_trip_all(self):
+        # The word, read as base-3 digits, is its code again.
         for code in range(3**4):
-            assert el.word_code(el.word_from_code(code, 3, 4), 3) == code
+            assert int("".join(map(str, el.word_from_code(code, 3, 4))), 3) == code
 
     def test_leading_symbol_most_significant(self):
-        assert el.word_code((1, 0, 0), 2) == 4
+        assert el.word_from_code(4, 2, 3) == (1, 0, 0)
 
-    def test_rejects_bad_symbol(self):
-        with pytest.raises(ValidationError):
-            el.word_code((0, 3), 3)
-        with pytest.raises(ValidationError):
-            el.word_code((), 2)
+    def test_rejects_bad_depth(self):
+        with pytest.raises(ValidationError, match="depth must be >= 1"):
+            el.word_from_code(0, 3, 0)
+        with pytest.raises(ValidationError, match=r"code -1 outside range\(0, 9\)"):
+            el.word_from_code(-1, 3, 2)
 
     def test_rejects_bad_code(self):
         with pytest.raises(ValidationError):
@@ -213,29 +215,31 @@ class TestRefinements:
         with pytest.raises(ValidationError):
             el.refine_afl(two_state_chain, coin_extremal, 0)
 
-    def test_element_accessor(self, two_state_chain, blur_partition):
+    def test_column_of_each_code_is_its_nested_element(self, two_state_chain, blur_partition):
         refined = el.refine_afl(two_state_chain, blur_partition, 3)
-        word = (1, 0, 1)
-        code = el.word_code(word, 2)
-        assert np.array_equal(refined.element(word), refined.elements[:, code])
+        response, transition = blur_partition.response, two_state_chain.transition
+        for code in range(refined.n_words):
+            word = el.word_from_code(code, 2, 3)
+            # element(k0 w) = f_k0 * theta(element(w)), from the last symbol outward
+            element = response[:, word[-1]]
+            for k in reversed(word[:-1]):
+                element = response[:, k] * (transition @ element)
+            assert np.max(np.abs(refined.elements[:, code] - element)) <= 1e-15
 
-    def test_element_rejects_bad_symbol(self, two_state_chain, blur_partition):
+    def test_codes_of_the_columns_are_every_word_once(self, two_state_chain):
+        three = el.PartitionOfUnity(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
+        refined = el.refine_mak(two_state_chain, three, 2)
+        words = [el.word_from_code(c, 3, 2) for c in range(refined.n_words)]
+        assert words == sorted(itertools.product(range(3), repeat=2))
+
+    def test_code_past_the_last_column_is_rejected(self, two_state_chain, blur_partition):
         refined = el.refine_afl(two_state_chain, blur_partition, 2)
-        with pytest.raises(ValidationError, match=r"symbol 2 outside range\(0, 2\)"):
-            refined.element((0, 2))
-
-    def test_element_rejects_wrong_length(self, two_state_chain, blur_partition):
-        refined = el.refine_afl(two_state_chain, blur_partition, 2)
-        with pytest.raises(ValidationError, match="does not have length 2"):
-            refined.element((0, 1, 0))
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValidationError, match="unknown refinement scheme 'kow'"):
-            el.RefinedPartition("kow", 2, 1, np.eye(2))
+        with pytest.raises(ValidationError, match=r"code 4 outside range\(0, 4\)"):
+            el.word_from_code(refined.n_words, 2, 2)
 
     def test_rejects_element_count_not_base_to_depth(self):
         with pytest.raises(ValidationError, match=r"must have 4 columns, got shape \(2, 2\)"):
-            el.RefinedPartition("afl", 2, 2, np.eye(2))
+            el.RefinedPartition(2, 2, np.eye(2))
 
 
 class TestDistributions:

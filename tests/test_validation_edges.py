@@ -87,7 +87,7 @@ def test_partition_of_unity_adds_only_its_upper_bound(m):
 )
 def test_refined_partition_accepts_exactly_valid_rows(args):
     (_, k, depth), m = args
-    assert accepted(el.RefinedPartition, "afl", k, depth, m) == rows_pass(m)
+    assert accepted(el.RefinedPartition, k, depth, m) == rows_pass(m)
 
 
 @settings(max_examples=60, deadline=None)

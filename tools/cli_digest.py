@@ -24,7 +24,13 @@ whose decompositions have index sizes (1, 1) and which has one
 identification, and ``cnt`` on a three-state system whose third state has
 stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
 and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
-whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates.
+whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates;
+then, in every format, the rate estimates: ``--units bits`` on ``rate``
+(each kind), ``compare``, ``report``, ``cnt`` and ``sup``, a ``rate
+--nmax 1`` whose estimate is null, and ``sup --kind kow --nmax 3
+--word-cap 4`` on the three-state doubly stochastic chain, whose
+three-cell candidate stops at depth 2 and is skipped, so that
+``candidates`` reads 4.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
 from; fixtures and workloads always come from this checkout, so two trees
 are compared with
@@ -56,6 +62,7 @@ KINDS = ("hud", "mak", "afl", "kow")
 SEEDS = (1, 2, 3)
 CHAIN = "fixtures/systems/two_state_chain.json"
 BLUR = "fixtures/partitions/two_state_blur.json"
+DOUBLY = "fixtures/systems/three_state_doubly.json"
 ERROR_SYSTEMS = {
     "bad_row_sum": {"transition": [[0.6, 0.6], [0.5, 0.5]]},
     "ragged_transition": {"transition": [[0.5, 0.5], [1.0]]},
@@ -167,6 +174,21 @@ def degenerate_argvs(directory: Path):
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "300", "--seed", "4"]
 
 
+def estimate_argvs():
+    """Runs that convert units or read, or skip, a rate estimate, in every format."""
+    head = ["--system", CHAIN, "--partition", BLUR]
+    for fmt in FORMATS:
+        tail = ["--format", fmt]
+        for kind in KINDS:
+            yield ["rate", *head, "--kind", kind, "--nmax", "4", "--units", "bits", *tail]
+        yield ["compare", *head, "--nmax", "4", "--units", "bits", *tail]
+        yield ["report", *head, "--nmax", "4", "--units", "bits", *tail]
+        yield ["cnt", *head, "--budget", "5", "--seed", "1", "--units", "bits", *tail]
+        yield ["sup", "--system", CHAIN, "--kind", "kow", "--nmax", "3", "--units", "bits", *tail]
+        yield ["rate", *head, "--kind", "kow", "--nmax", "1", *tail]
+        yield ["sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", "4", *tail]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding entropy_lab")
@@ -212,6 +234,8 @@ def main() -> int:
         directory.mkdir()
         for argv in degenerate_argvs(directory):
             emit(argv, tmp)
+    for argv in estimate_argvs():
+        emit(argv)
     return 0
 
 
