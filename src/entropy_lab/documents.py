@@ -16,10 +16,12 @@ cells of state labels, or a uniform outcome count:
     {"cells": [["a"], ["b"]]}
     {"uniform": 2}
 
-Structural problems (bad JSON, wrong types, missing or conflicting keys,
-and numeric fields that are ragged or hold a non-number) raise
-DocumentError; semantic problems (row sums, unknown labels, size
-mismatches) raise ValidationError.
+Structural problems (a file that is not UTF-8, bad JSON, an integer
+literal longer than Python's int-string limit, wrong types, missing or
+conflicting keys, and numeric fields that are ragged, hold a non-number or
+hold an integer beyond float range) raise DocumentError; semantic problems
+(row sums, unknown labels, size mismatches, a ``uniform`` count above
+DEFAULT_WORD_CAP) raise ValidationError.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._errors import DocumentError, ValidationError
-from .partitions import PartitionOfUnity, sharp_partition, uniform_unsharp
+from .partitions import DEFAULT_WORD_CAP, PartitionOfUnity, sharp_partition, uniform_unsharp
 from .systems import StochasticSystem, make_bernoulli, make_markov
 
 __all__ = [
@@ -50,8 +52,8 @@ def load_json(path) -> dict:
     """Read one JSON object from a file, reporting position on syntax errors."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {p}: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -59,6 +61,8 @@ def load_json(path) -> dict:
         raise DocumentError(
             f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the int-string limit
+        raise DocumentError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentError(f"{p}: top level must be a JSON object")
     return obj
@@ -68,15 +72,18 @@ def _numeric(obj: dict, key: str, ndim: int) -> np.ndarray:
     """Float array of a list (ndim 1) or non-empty list of equal-length rows (ndim 2) of numbers."""
     value = obj[key]
     rows = value if ndim == 2 else [value]
+    shape = "a list" if ndim == 1 else "a non-empty list of equal-length rows"
     if not (
         isinstance(value, list)
         and rows
         and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
         and all(type(v) in (int, float) for row in rows for v in row)
     ):
-        shape = "a list" if ndim == 1 else "a non-empty list of equal-length rows"
         raise DocumentError(f"{key!r} must be {shape} of numbers")
-    return np.array(value, dtype=float)
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise DocumentError(f"{key!r} must be {shape} of numbers within float range") from exc
 
 
 def parse_system(obj: dict) -> StochasticSystem:
@@ -128,6 +135,11 @@ def parse_partition(obj: dict, system: StochasticSystem) -> PartitionOfUnity:
         k = obj["uniform"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise DocumentError("'uniform' must be an integer outcome count")
+        if k > DEFAULT_WORD_CAP:
+            # k outcomes are the depth-1 words, which the default word cap bounds.
+            raise ValidationError(
+                f"'uniform' outcome count {k} exceeds the word cap {DEFAULT_WORD_CAP}"
+            )
         part = uniform_unsharp(system.n_states, k)
         return part if labels is None else PartitionOfUnity(part.response, labels)
     if mode == "cells":

@@ -347,6 +347,10 @@ def rho_afl(
     theta( ... ))) over word pairs.  For sharp partitions all off-diagonal
     square roots vanish, so the state is the diagonal word distribution and
     the pair recursion is skipped.
+
+    The result is exactly symmetric by construction: each pair-root block is
+    symmetric in (a, b), and every step computes entry (a, b) and entry
+    (b, a) with the same floating-point operations in the same order.
     """
     _check_refine_args(
         system, f, depth, dim_cap, "state would be {n} x {n}, cap is {cap}", "dim_cap"
@@ -363,8 +367,7 @@ def rho_afl(
         grams = (
             pair_roots[:, :, None, :, None] * inner[:, None, :, None, :]
         ).reshape(system.n_states, k * side, k * side)
-    rho = np.einsum("x,xab->ab", system.stationary, grams)
-    return (rho + rho.T) / 2.0
+    return np.einsum("x,xab->ab", system.stationary, grams)
 
 
 @dataclass(eq=False)
@@ -408,14 +411,15 @@ def _mak_state_side(mu: np.ndarray, refined: RefinedPartition, dim_cap: int) -> 
     """n x n Gram side S S^T of the mak state, S = sqrt(mu) sqrt(elements).
 
     The mak state is the k^N x k^N Gram matrix S^T S, which has the same
-    nonzero spectrum, so both give one entropy.
+    nonzero spectrum, so both give one entropy.  The result is exactly
+    symmetric by construction: numpy computes ``S @ S.T`` as one symmetric
+    rank-k update, which fills one triangle and mirrors it.
     """
     n = refined.n_states
     if n > dim_cap:
         raise CapExceededError(f"Gram side would be {n} x {n}, cap is {dim_cap}")
     side = np.sqrt(mu)[:, None] * np.sqrt(refined.elements)
-    gram = side @ side.T
-    return (gram + gram.T) / 2.0
+    return side @ side.T
 
 
 def _sequence_value(

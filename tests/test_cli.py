@@ -447,13 +447,19 @@ class TestMalformedInput:
             ({"transition": [["a"]]}, None, "transition"),
             ({"transition": [[1.0]], "stationary": {"a": 1}}, None, "stationary"),
             (None, {"response": [[0.5, "x"], [0.5, 0.5]]}, "response"),
+            # raw text: json.dumps cannot write an integer beyond float range
+            pytest.param(
+                '{"transition": [[1' + "0" * 400 + "]]}", None, "transition",
+                id="int-beyond-float-range",
+            ),
         ],
     )
     def test_malformed_numeric_field_is_a_document_error(self, tmp_path, system, partition, key):
         system_path = CHAIN
         if system is not None:
             system_path = str(tmp_path / "system.json")
-            (tmp_path / "system.json").write_text(json.dumps(system))
+            text = system if isinstance(system, str) else json.dumps(system)
+            (tmp_path / "system.json").write_text(text)
         argv = ["validate", "--system", system_path]
         if partition is not None:
             (tmp_path / "partition.json").write_text(json.dumps(partition))
@@ -462,6 +468,26 @@ class TestMalformedInput:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {key!r} must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"\xff{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+            (
+                b'{"transition": [[' + b"1" * 4301 + b"]]}",
+                "{path}: invalid JSON: Exceeds the limit",
+            ),
+        ],
+        ids=["not-utf8", "int-over-digit-limit"],
+    )
+    def test_undecodable_document_is_a_document_error(self, tmp_path, raw, message):
+        path = tmp_path / "system.json"
+        path.write_bytes(raw)
+        code, out, err = run("validate", "--system", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message.format(path=path))
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("target", ["absent/report.json", "."])

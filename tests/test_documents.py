@@ -159,6 +159,11 @@ class TestParsePartition:
         with pytest.raises(ValidationError, match="outcome"):
             parse_partition({"uniform": 0}, two_state_chain)
 
+    def test_uniform_rejects_count_above_word_cap(self, two_state_chain):
+        # fails before numpy is asked for 2 x 99999999999 floats
+        with pytest.raises(ValidationError, match="count 99999999999 exceeds the word cap 1048576"):
+            parse_partition({"uniform": 99999999999}, two_state_chain)
+
     def test_exactly_one_form(self, two_state_chain):
         doc = {"cells": [["a"], ["b"]], "uniform": 2}
         with pytest.raises(DocumentError, match="exactly one"):

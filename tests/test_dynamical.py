@@ -741,6 +741,19 @@ class TestMakStateSide:
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(gram_cases())
+    def test_afl_and_mak_states_are_exactly_symmetric(self, case):
+        # Both states are returned as built, so symmetric_eigenvalues takes
+        # its exact path on them; its tolerance symmetrization is for outside input.
+        system, part, max_depth = case
+        for depth in range(1, max_depth + 1):
+            rho = el.rho_afl(system, part, depth)
+            assert np.array_equal(rho, rho.T)
+            refined = el.refine_afl(system, part, depth)
+            side = _mak_state_side(system.stationary, refined, DEFAULT_DIM_CAP)
+            assert np.array_equal(side, side.T)
+
     def test_frozen_blur(self, two_state_chain, blur_partition):
         mu = two_state_chain.stationary
         side = _mak_state_side(mu, el.refine_afl(two_state_chain, blur_partition, 1), 2)

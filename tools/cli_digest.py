@@ -19,8 +19,13 @@ each setting a command does not read (``--units``, ``--word-cap`` and
 ``rate``, ``compare``, ``report`` and ``sample`` with 0 and 2, ``cnt`` with
 0 and 3, and ``sup`` with 1, which takes none), which exits 1, and
 ``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
-exits 3; last, the degenerate shapes: ``cnt`` on a one-state system,
-whose decompositions have index sizes (1, 1) and which has one
+exits 3, and four documents that ``json.dumps`` cannot write, or that
+must fail before any allocation: a system file that is not UTF-8, one
+with an integer literal longer than Python's 4 300-digit int-string
+limit and one with an integer beyond float range, which exit 1, and a
+partition ``{"uniform": 99999999999}``, whose count exceeds the default
+word cap and which exits 2; last, the degenerate shapes: ``cnt`` on a
+one-state system, whose decompositions have index sizes (1, 1) and which has one
 identification, and ``cnt`` on a three-state system whose third state has
 stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
 and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
@@ -70,6 +75,12 @@ ERROR_SYSTEMS = {
     "object_stationary": {"transition": [[1.0]], "stationary": {"a": 1}},
 }
 ERROR_PARTITIONS = {"text_response": {"response": [[0.5, "x"], [0.5, 0.5]]}}
+RAW_ERROR_SYSTEMS = {
+    "not_utf8": b"\xff{}",
+    "int_over_digit_limit": b'{"transition": [[' + b"1" * 4301 + b"]]}",
+    "int_beyond_float_range": b'{"transition": [[1' + b"0" * 400 + b"]]}",
+}
+HUGE_UNIFORM_PARTITION = {"uniform": 99999999999}
 ONE_STATE_SYSTEM = {"transition": [[1.0]]}
 ONE_STATE_PARTITION = {"response": [[0.25, 0.75]]}
 TINY_MASS_SYSTEM = {
@@ -156,6 +167,13 @@ def error_argvs(directory: Path):
             yield [*head, *("--partition", BLUR) * count]
     yield ["rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "2",
            "--nmax", "3"]
+    for name, raw in RAW_ERROR_SYSTEMS.items():
+        path = directory / f"{name}.json"
+        path.write_bytes(raw)
+        yield ["validate", "--system", str(path)]
+    path = directory / "huge_uniform.json"
+    path.write_text(json.dumps(HUGE_UNIFORM_PARTITION))
+    yield ["validate", "--system", CHAIN, "--partition", str(path)]
 
 
 def degenerate_argvs(directory: Path):
