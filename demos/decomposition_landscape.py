@@ -2,21 +2,20 @@
 """The decomposition functional: exact at one time, non-concave at two.
 
 At a single time the supremum over decompositions of mu has a closed form
-(the one-time information functional) and is attained at extremal
-decompositions.  At two times the same functional evaluated on simple
-identification decompositions can go strictly negative, so the landscape
-is not concave and the supremum has to be searched, not solved.
+(``hud_functional``) and is attained at extremal decompositions, the ones
+a map states -> states induces.  At two times the same functional
+evaluated on simple identification decompositions can go strictly
+negative, so the landscape is not concave and the supremum has to be
+searched, not solved.
 """
 
-import numpy as np
+import itertools
 
 from entropy_lab import (
     cnt_functional,
-    cnt_onetime,
     cnt_search,
-    extremal_decompositions,
+    hud_functional,
     make_markov,
-    mutual_information,
     sharp_partition,
 )
 from entropy_lab.dynamical import _identification_decomposition
@@ -30,10 +29,12 @@ def main():
     mu = system.stationary
     f = sharp_partition([[0, 1], [2]], 3, labels=["x0+x1", "x2"])
 
-    closed = cnt_onetime(mu, f)
+    closed = hud_functional(mu, f)
     best, count = 0.0, 0
-    for _, dec in extremal_decompositions(mu, 3):
-        best = max(best, mutual_information(mu, dec, f))
+    for assignment in itertools.product(range(3), repeat=3):
+        # the map x -> assignment[x] splits mu into its level sets
+        dec = _identification_decomposition(mu, (assignment,), (3,))
+        best = max(best, cnt_functional(mu, dec, [f]))
         count += 1
     print(f"one time: closed form {closed:.12f}")
     print(f"brute force over {count} extremal decompositions: {best:.12f}")

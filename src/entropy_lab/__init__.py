@@ -18,7 +18,6 @@ from ._errors import (
 from .decompositions import (
     Decomposition,
     entropy_defect,
-    extremal_decompositions,
     trivial_decomposition,
 )
 from .documents import (
@@ -34,12 +33,10 @@ from .dynamical import (
     EntropySequence,
     SupResult,
     cnt_functional,
-    cnt_onetime,
     cnt_search,
     entropy_sequence,
     hud_functional,
     iter_set_partitions,
-    mutual_information,
     rho_afl,
     sup_over_sharp,
 )

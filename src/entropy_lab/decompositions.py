@@ -13,20 +13,19 @@ weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``
 for one g or for a stack of them.  A stack of decompositions is checked as
 a whole by ``_checked_stack``, with the row check ``Decomposition`` applies
 to each one, and handed out one read-only ``Decomposition`` per row.
-Pruning is the policy of ``extremal_decompositions`` and the marginals: they
-drop indices of weight below ``PRUNE_TOL``, which add nothing to any entropy (eta
-is continuous at 0) and would force divisions by ~0 when normalizing.
+Pruning is the policy of the marginals: they drop indices of weight below
+``PRUNE_TOL``, which add nothing to any entropy (eta is continuous at 0) and
+would force divisions by ~0 when normalizing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import CapExceededError, ValidationError
+from ._errors import ValidationError
 from .entropy import SUM_TOL, _eta, as_prob_vector, as_stochastic_matrix
 
 PRUNE_TOL = 1e-15
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Decomposition",
     "trivial_decomposition",
-    "extremal_decompositions",
     "entropy_defect",
 ]
 
@@ -213,29 +211,3 @@ def entropy_defect(decomposition: Decomposition) -> float:
     w = decomposition.weights
     return _defect([_eta(sums) for sums in _axis_sums(w, decomposition.index_sizes)], _eta(w))
 
-
-def extremal_decompositions(mu, n_outcomes: int, *, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Iterate the decompositions induced by all maps states -> outcomes.
-
-    Each map assigns every state one outcome; the decomposition restricts mu
-    to the level sets.  These are exactly the extreme points among the
-    decompositions coarser than the point decomposition.  Yields
-    ``(assignment, Decomposition)`` pairs; level sets of weight at most
-    PRUNE_TOL are pruned.
-    Raises CapExceededError if n_outcomes ** n_states exceeds ``cap``.
-    """
-    muv = as_prob_vector(mu, "mu")
-    n = muv.shape[0]
-    if n_outcomes < 1:
-        raise ValidationError("need at least one outcome")
-    total = n_outcomes**n
-    if total > cap:
-        raise CapExceededError(
-            f"extremal enumeration would visit {total} maps, cap is {cap}"
-        )
-    indicators = np.eye(n_outcomes)
-    for assignment in itertools.product(range(n_outcomes), repeat=n):
-        weights, components = _induced(muv, indicators[list(assignment)])
-        keep = np.flatnonzero(weights > PRUNE_TOL)
-        kept = weights[keep]
-        yield assignment, Decomposition(kept / kept.sum(), components[keep])

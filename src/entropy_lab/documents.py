@@ -16,12 +16,12 @@ cells of state labels, or a uniform outcome count:
     {"cells": [["a"], ["b"]]}
     {"uniform": 2}
 
-Structural problems (a file that is not UTF-8, bad JSON, an integer
-literal longer than Python's int-string limit, wrong types, missing or
-conflicting keys, and numeric fields that are ragged, hold a non-number or
-hold an integer beyond float range) raise DocumentError; semantic problems
-(row sums, unknown labels, size mismatches, a ``uniform`` count above
-DEFAULT_WORD_CAP) raise ValidationError.
+Structural problems (a file that is not UTF-8, bad JSON, an integer literal
+longer than Python's int-string limit, nesting past the parser's recursion
+limit, wrong types, missing or conflicting keys, and numeric fields that are
+ragged, hold a non-number or hold an integer beyond float range) raise
+DocumentError; semantic problems (row sums, unknown labels, size mismatches,
+a ``uniform`` count above DEFAULT_WORD_CAP) raise ValidationError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def load_json(path) -> dict:
         raise DocumentError(
             f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal beyond the int-string limit
+    except (ValueError, RecursionError) as exc:  # a huge integer literal, or deep nesting
         raise DocumentError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentError(f"{p}: top level must be a JSON object")

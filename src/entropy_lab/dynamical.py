@@ -62,10 +62,8 @@ __all__ = [
     "EntropySequence",
     "CntSearchResult",
     "SupResult",
-    "mutual_information",
     "hud_functional",
     "cnt_functional",
-    "cnt_onetime",
     "cnt_search",
     "rho_afl",
     "entropy_sequence",
@@ -81,21 +79,6 @@ class EntropyKind(enum.Enum):
     KOW = "kow"
 
 
-def mutual_information(mu, decomposition: Decomposition, f) -> float:
-    """Information the decomposition index carries about the outcome of f.
-
-    Computed two ways and cross-checked within 1e-9 before returning:
-    as the entropy difference S(mu o f) - sum_a w_a S(mu_a o f) and as the
-    weighted relative entropy sum_a w_a S(mu_a o f | mu o f).  Disagreement
-    signals an inconsistent decomposition and raises.
-    """
-    muv = decomposition.check_recombines(mu)
-    matrix = _response_of(f, muv.shape[0])
-    base = muv @ matrix
-    outcome_rows = decomposition.components @ matrix
-    return _information(decomposition.weights, base, outcome_rows, _eta(base), _eta(outcome_rows))
-
-
 def _information(
     weights: np.ndarray,
     base: np.ndarray,
@@ -103,11 +86,11 @@ def _information(
     base_etas: np.ndarray,
     row_etas: np.ndarray,
 ) -> float:
-    """Both ``mutual_information`` forms, cross-checked, on arrays the caller checked.
+    """Information an index carries about an outcome, on arrays the caller checked.
 
-    ``base`` is the outcome law mu o f and ``outcome_rows`` the outcome law
-    of each component; ``base_etas`` and ``row_etas`` are their ``_eta``, in
-    the same shapes.  Returns the difference form.
+    Returns the difference form S(mu o f) - sum_a w_a S(mu_a o f) once the relative form
+    sum_a w_a S(mu_a o f | mu o f) agrees within ``MI_FORM_TOL``, and raises otherwise.
+    ``base`` is mu o f, ``outcome_rows`` each component's outcome law, the etas their ``_eta``.
     """
     difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
     if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
@@ -127,7 +110,9 @@ def hud_functional(mu, f) -> float:
 
     S(mu o f) - sum_x mu_x S(delta_x o f); equals the weighted relative
     entropy of the point outcome rows against the mean row, so it is
-    non-negative and bounded by S(mu).
+    non-negative and bounded by S(mu).  It is also the one-time decomposition
+    entropy: the supremum of ``cnt_functional(mu, dec, [f])``, attained at extremal
+    decompositions, which the oracle ``extremal_maximum`` in ``tests/oracles.py`` scans.
     """
     muv = as_prob_vector(mu, "mu")
     matrix = _response_of(f, muv.shape[0])
@@ -142,8 +127,8 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     The trivial decomposition gives exactly 0; the supremum over all
     decompositions defines the multi-time entropy of the partition family.
     After one ``check_recombines`` of mu the value comes from one fused pass
-    over the checked arrays, equal float for float to the sum of the
-    marginals' ``mutual_information`` minus ``entropy_defect``.
+    over the checked arrays, equal float for float to the sum of each
+    marginal's ``_information`` alone minus ``entropy_defect``.
     """
     parts = list(partitions)
     if len(parts) != decomposition.arity:
@@ -188,17 +173,6 @@ def _cnt_value(
     for axis, (marg_w, _) in enumerate(marginals):
         total += _information(marg_w, bases[axis], rows[axis], etas[axis], etas[arity + axis])
     return total - _defect(etas[2 * arity : 3 * arity], etas[-1])
-
-
-def cnt_onetime(mu, f) -> float:
-    """One-time decomposition entropy of a single partition.
-
-    The supremum over decompositions is attained at extremal ones and has
-    the closed form hud_functional(mu, f), which this returns.  The explicit
-    maximum over all extremal decompositions is the test oracle
-    ``extremal_maximum`` in ``tests/oracles.py``.
-    """
-    return hud_functional(mu, f)
 
 
 @dataclass(eq=False)
@@ -268,15 +242,14 @@ def cnt_search(
 ) -> CntSearchResult:
     """Search decompositions for the two-time functional of (f, g).
 
-    The second partition defaults to the evolved copy of the first.  The
-    one-time supremum has a closed form, which ``cnt_onetime`` returns.
-    Three candidate families are scanned deterministically: the trivial
-    decomposition, every identification decomposition (one outcome map
-    per time index, alphabet size = number of states), and ``budget``
-    random density decompositions drawn from a seeded generator.  Because
-    the functional is not concave for two or more times, identification
-    values can be negative; the search reports how many were.  ``cap``
-    bounds the number of map tuples, n^(2n), and must be at least 1.
+    The second partition defaults to the evolved copy of the first; the one-time
+    supremum is the closed form ``hud_functional``.  Three candidate families are
+    scanned deterministically: the trivial decomposition, every identification
+    decomposition (one outcome map per time index, alphabet size = number of
+    states), and ``budget`` random density decompositions drawn from a seeded
+    generator.  Because the functional is not concave for two or more times,
+    identification values can be negative; the search reports how many were.
+    ``cap`` bounds the number of map tuples, n^(2n), and must be at least 1.
 
     Both stacked families come from ``_candidates``, in chunks of at most
     ``SCAN_CHUNK`` decompositions, each built as one stack and validated

@@ -20,6 +20,7 @@ depth; they genuinely differ from depth 3 on for stochastic dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,12 @@ def _check_refine_args(
         raise ValidationError("depth must be >= 1")
     if cap < 1:
         raise ValidationError(f"{cap_name} must be >= 1, got {cap}")
-    n_words = f.n_outcomes**depth
+    k = f.n_outcomes
+    if k > 1 and depth > int(cap).bit_length():  # k^N >= 2^N > cap
+        # Counts longer than Python's default 4 300-digit int-string limit print as k^N.
+        count = k**depth if depth < 4300 / math.log10(k) else f"{k}^{depth}"
+        raise CapExceededError(message.format(n=count, cap=cap))
+    n_words = k**depth
     if n_words > cap:
         raise CapExceededError(message.format(n=n_words, cap=cap))
     return n_words

@@ -69,6 +69,8 @@ def sample_words(
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
+    if n_samples > np.iinfo(np.int64).max:  # the counts are int64
+        raise ValidationError(f"need at most {np.iinfo(np.int64).max} samples, got {n_samples}")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
     n_words = _check_refine_args(system, f, depth, word_cap, "would count {n} words, cap is {cap}")

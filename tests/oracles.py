@@ -8,7 +8,10 @@ paths, the Markov block entropy uses its closed form, and word sampling
 either gathers whole cumulative rows for every sample or splits sample
 groups in a plain loop.  The decomposition functional is summed by loops
 over the weight tensor, and ``cnt_search`` is rebuilt one candidate at a
-time through the public ``Decomposition`` and ``cnt_functional``.  Set
+time through the public ``Decomposition`` and ``cnt_functional``.  One
+reference shares the library's kernel on purpose: ``index_information``
+evaluates a single decomposition index alone, so that the fused
+``cnt_functional`` can be required to equal it float for float.  Set
 partitions are listed by filtering every string in ``itertools.product``.
 """
 
@@ -20,7 +23,9 @@ import math
 import numpy as np
 
 from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
-from entropy_lab.dynamical import MI_FORM_TOL
+from entropy_lab.dynamical import MI_FORM_TOL, _information
+from entropy_lab.entropy import _eta
+from entropy_lab.partitions import _response_of
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -183,6 +188,23 @@ def extremal_maximum(mu, f) -> float:
         value = shannon(joint.sum(axis=1)) + shannon(joint.sum(axis=0)) - shannon(joint)
         best = max(best, value)
     return best
+
+
+def index_information(mu, decomposition: Decomposition, f) -> float:
+    """Information the decomposition index carries about the outcome of f.
+
+    The one-index evaluation that ``cnt_functional`` fuses, run alone: one
+    ``check_recombines`` of mu, then both forms of the information
+    cross-checked by ``_information`` on the decomposition's own weights
+    and components, with nothing renormalized.  The sum over marginals of
+    this, minus ``entropy_defect``, must equal ``cnt_functional`` float for
+    float.
+    """
+    muv = decomposition.check_recombines(mu)
+    matrix = _response_of(f, muv.shape[0])
+    base = muv @ matrix
+    outcome_rows = decomposition.components @ matrix
+    return _information(decomposition.weights, base, outcome_rows, _eta(base), _eta(outcome_rows))
 
 
 def cnt_value(mu, weights, components, sizes, matrices) -> float:

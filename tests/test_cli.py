@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -375,6 +376,26 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_huge_depth_is_exit_3_without_counting_words(self):
+        start = time.perf_counter()
+        code, out, err = run(
+            "sample", "--system", CHAIN, "--partition", BLUR,
+            "--depth", str(10**20), "--samples", "10", "--seed", "0",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == f"error: would count 2^{10**20} words, cap is 1048576\n"
+
+    def test_samples_beyond_int64_is_validation(self):
+        code, out, err = run(
+            "sample", "--system", CHAIN, "--partition", BLUR,
+            "--depth", "2", "--samples", str(10**20), "--seed", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need at most {2**63 - 1} samples, got {10**20}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -478,8 +499,13 @@ class TestMalformedInput:
                 b'{"transition": [[' + b"1" * 4301 + b"]]}",
                 "{path}: invalid JSON: Exceeds the limit",
             ),
+            # json.dumps cannot write it: nesting past the recursion limit
+            (
+                b'{"transition": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                "{path}: invalid JSON: maximum recursion depth exceeded",
+            ),
         ],
-        ids=["not-utf8", "int-over-digit-limit"],
+        ids=["not-utf8", "int-over-digit-limit", "nested-past-recursion-limit"],
     )
     def test_undecodable_document_is_a_document_error(self, tmp_path, raw, message):
         path = tmp_path / "system.json"

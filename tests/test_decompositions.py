@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import entropy_lab as el
-from entropy_lab import CapExceededError, ValidationError
+from entropy_lab import ValidationError
 from entropy_lab.decompositions import Decomposition, _induced
 
 from conftest import marginal, random_partition, random_prob
@@ -166,40 +166,3 @@ class TestMultiDecomposition:
             comps = rng.dirichlet(np.ones(3), size=6)
             dec = Decomposition(weights, comps, (2, 3))
             assert el.entropy_defect(dec) >= -1e-12
-
-
-class TestExtremalDecompositions:
-    def test_count_and_recombination(self):
-        mu = np.array([0.2, 0.3, 0.5])
-        items = list(el.extremal_decompositions(mu, 2))
-        assert len(items) == 2**3
-        for _, dec in items:
-            assert np.max(np.abs(dec.weights @ dec.components - mu)) <= 1e-12
-
-    def test_finest_decomposition_present(self):
-        mu = np.array([0.2, 0.3, 0.5])
-        for assignment, dec in el.extremal_decompositions(mu, 3):
-            if assignment == (0, 1, 2):
-                assert dec.weights.shape[0] == 3
-                assert np.array_equal(dec.components, np.eye(3))
-                assert dec.weights == pytest.approx(mu, abs=1e-15)
-                break
-        else:
-            pytest.fail("injective assignment not enumerated")
-
-    def test_single_outcome_gives_trivial(self):
-        mu = np.array([0.4, 0.6])
-        items = list(el.extremal_decompositions(mu, 1))
-        assert len(items) == 1
-        assert items[0][1].weights.shape[0] == 1
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            list(el.extremal_decompositions(np.full(8, 0.125), 8, cap=10**6))
-
-    def test_empty_cells_pruned(self):
-        mu = np.array([0.5, 0.5])
-        for assignment, dec in el.extremal_decompositions(mu, 3):
-            if assignment == (0, 0):
-                assert dec.weights.shape[0] == 1
-                break

@@ -1,6 +1,7 @@
 """Entropy functionals, Gram states, sequences, rates, and searches."""
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -28,6 +29,7 @@ from oracles import (
     extremal_maximum,
     gram_state,
     identification_scan,
+    index_information,
     induced_decomposition,
     markov_block_entropy,
     path_rho_afl,
@@ -41,23 +43,25 @@ WITNESS_VALUE = -0.2876820724517809
 
 
 class TestMutualInformation:
+    """The one-index functional is the information the index carries about f."""
+
     def test_trivial_is_zero(self, blur_partition):
         mu = np.array([0.5, 0.5])
         dec = Decomposition([1.0], [mu])
-        assert el.mutual_information(mu, dec, blur_partition) == 0.0
+        assert el.cnt_functional(mu, dec, [blur_partition]) == 0.0
 
     def test_point_decomposition_of_sharp_is_full_entropy(self):
         mu = np.array([0.25, 0.75])
         dec = Decomposition([0.25, 0.75], np.eye(2))
         part = el.sharp_partition([[0], [1]], 2)
-        assert el.mutual_information(mu, dec, part) == pytest.approx(
+        assert el.cnt_functional(mu, dec, [part]) == pytest.approx(
             el.shannon_entropy(mu), abs=1e-12
         )
 
     def test_rejects_wrong_measure(self, blur_partition):
         dec = Decomposition([1.0], [[0.9, 0.1]])
         with pytest.raises(ValidationError, match="wrong measure"):
-            el.mutual_information([0.5, 0.5], dec, blur_partition)
+            el.cnt_functional([0.5, 0.5], dec, [blur_partition])
 
     def test_bounded_by_weight_entropy(self):
         rng = np.random.default_rng(51)
@@ -66,7 +70,7 @@ class TestMutualInformation:
             mu = random_prob(rng, n)
             part = random_partition(rng, n, k)
             dec = induced_decomposition(mu, random_partition(rng, n, 3).response, None)
-            value = el.mutual_information(mu, dec, part)
+            value = el.cnt_functional(mu, dec, [part])
             assert -1e-12 <= value
             assert value <= el.shannon_entropy(dec.weights) + 1e-9
             base = el.distribution(mu, part)
@@ -80,13 +84,13 @@ class TestMutualInformation:
         dec = Decomposition([1.0], [[1.0 - 1e-12, 1e-12]])
         part = el.sharp_partition([[0], [1]], 2)
         with pytest.raises(InequalityViolationError, match="forms disagree"):
-            el.mutual_information(mu, dec, part)
+            el.cnt_functional(mu, dec, [part])
 
     def test_zero_weight_component_is_ignored(self):
         mu = np.array([1.0, 0.0])
         dec = Decomposition([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
         part = el.sharp_partition([[0], [1]], 2)
-        assert el.mutual_information(mu, dec, part) == 0.0
+        assert el.cnt_functional(mu, dec, [part]) == 0.0
 
 
 class TestHudFunctional:
@@ -163,7 +167,7 @@ class TestCntFunctional:
         mu = two_state_chain.stationary
         dec = induced_decomposition(mu, blur_partition.response, None)
         assert el.cnt_functional(mu, dec, [blur_partition]) == pytest.approx(
-            el.mutual_information(mu, dec, blur_partition), abs=1e-12
+            index_information(mu, dec, blur_partition), abs=1e-12
         )
 
 
@@ -266,7 +270,7 @@ class TestCntDecomposition:
     def test_equals_marginal_information_minus_defect(self, case):
         mu, dec, parts = case
         expected = sum(
-            el.mutual_information(mu, marginal(dec, axis), parts[axis])
+            index_information(mu, marginal(dec, axis), parts[axis])
             for axis in range(dec.arity)
         ) - el.entropy_defect(dec)
         assert el.cnt_functional(mu, dec, parts) == expected
@@ -319,30 +323,6 @@ class TestCntEdgeCases:
             el.cnt_functional(mu, dec, parts)
 
 
-class TestCntOnetime:
-    def test_closed_form_equals_hud(self, two_state_chain, blur_partition):
-        mu = two_state_chain.stationary
-        assert el.cnt_onetime(mu, blur_partition) == el.hud_functional(mu, blur_partition)
-
-    def test_brute_force_agrees(self):
-        rng = np.random.default_rng(71)
-        for _ in range(6):
-            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-            mu = random_prob(rng, n)
-            part = random_partition(rng, n, k)
-            assert abs(extremal_maximum(mu, part) - el.cnt_onetime(mu, part)) <= 1e-9
-
-    def test_explicit_extremal_maximum(self):
-        rng = np.random.default_rng(73)
-        mu = random_prob(rng, 3)
-        part = random_partition(rng, 3, 3)
-        best = max(
-            el.mutual_information(mu, dec, part)
-            for _, dec in el.extremal_decompositions(mu, 3)
-        )
-        assert best == pytest.approx(el.hud_functional(mu, part), abs=1e-9)
-
-
 def _scan_partition(draw, rng, n):
     k = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
@@ -353,46 +333,88 @@ def _scan_partition(draw, rng, n):
     return el.uniform_unsharp(n, k)
 
 
-@st.composite
-def scan_cases(draw):
-    """A system, f, an optional g, a random budget and seed, and a scan chunk size.
+def _draw_system(draw, rng, n):
+    """A dense, sparse, deterministic, periodic or tiny-mass chain on n states.
 
-    Chains are dense, sparse (a cycle plus one random jump per state),
-    deterministic (a permutation), periodic (period 2 when n > 1) or
-    independent with one stationary mass of 1e-9 or 1e-13.  g is either
-    left to default to theta f or drawn like f.  Budgets of 8 and 15 split
-    the random family across chunks of 1 and 7.
+    Sparse is a cycle plus one random jump per state, deterministic a
+    permutation, periodic the cycle x -> x + 1 (for n = 3 a random chain of
+    period 2), and tiny-mass independent with one stationary mass of 1e-9
+    or 1e-13.
     """
-    n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     chain = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny")))
     if chain == "dense":
-        system = random_system(rng, n)
-    elif chain == "sparse":
+        return random_system(rng, n)
+    if chain == "sparse":
         p = np.zeros((n, n))
         stay = rng.uniform(0.1, 0.9, size=n)
         p[np.arange(n), (np.arange(n) + 1) % n] = stay
         np.add.at(p, (np.arange(n), rng.integers(0, n, size=n)), 1.0 - stay)
-        system = el.make_markov(n, p)
-    elif chain == "deterministic":
-        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
-    elif chain == "periodic":
+        return el.make_markov(n, p)
+    if chain == "deterministic":
+        return el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
+    if chain == "periodic":
         p = np.eye(n)[(np.arange(n) + 1) % n]
         if n == 3:
             a = rng.uniform(0.1, 0.9)
             p = np.array([[0.0, 1.0, 0.0], [a, 0.0, 1.0 - a], [0.0, 1.0, 0.0]])
-        system = el.make_markov(n, p)
-    else:
-        probabilities = random_prob(rng, n)
-        if n > 1:
-            probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
-        system = el.make_bernoulli(probabilities / probabilities.sum())
+        return el.make_markov(n, p)
+    probabilities = random_prob(rng, n)
+    if n > 1:
+        probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
+    return el.make_bernoulli(probabilities / probabilities.sum())
+
+
+@st.composite
+def scan_cases(draw):
+    """A system, f, an optional g, a random budget and seed, and a scan chunk size.
+
+    The chain comes from ``_draw_system``.  g is either left to default to
+    theta f or drawn like f.  Budgets of 8 and 15 split
+    the random family across chunks of 1 and 7.
+    """
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    system = _draw_system(draw, rng, n)
     f = _scan_partition(draw, rng, n)
     g = _scan_partition(draw, rng, n) if draw(st.booleans()) else None
     budget = draw(st.sampled_from((0, 1, 8, 15)))
     seed = draw(st.integers(0, 2**31 - 1))
     chunk = draw(st.sampled_from((1, 7, dynamical.SCAN_CHUNK)))
     return system, f, g, budget, seed, chunk
+
+
+@st.composite
+def onetime_cases(draw):
+    """A chain on 1 to 4 states (see ``_draw_system``) and one partition f of it."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    system = _draw_system(draw, rng, n)
+    return system, _scan_partition(draw, rng, n)
+
+
+class TestCntOnetime:
+    def test_brute_force_agrees(self):
+        rng = np.random.default_rng(71)
+        for _ in range(6):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            mu = random_prob(rng, n)
+            part = random_partition(rng, n, k)
+            assert abs(extremal_maximum(mu, part) - el.hud_functional(mu, part)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(onetime_cases())
+    def test_identification_maximum_is_hud(self, case):
+        """Over all n^n maps, the one-index functional peaks at hud(f), at an injective map."""
+        system, f = case
+        mu, n = system.stationary, system.n_states
+        closed = el.hud_functional(mu, f)
+        values = {
+            a: el.cnt_functional(mu, _identification_decomposition(mu, (a,), (n,)), [f])
+            for a in itertools.product(range(n), repeat=n)
+        }
+        assert abs(max(values.values()) - closed) <= 1e-9
+        injective = [v for a, v in values.items() if len(set(a)) == n]
+        assert any(abs(v - closed) <= 1e-9 for v in injective)
 
 
 class TestCntSearch:

@@ -1,6 +1,7 @@
 """Partitions of unity, refinements, the word codec, and their oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestRefinements:
         with pytest.raises(CapExceededError):
             el.refine_afl(two_state_chain, coin_extremal, 4, word_cap=8)
 
+    @pytest.mark.parametrize(
+        "depth",
+        [21, 30, 14284, 14285, 10**20, 10**400],
+        ids=["21", "30", "14284", "14285", "1e20", "1e400"],
+    )
+    def test_depth_past_the_cap_fails_at_once(self, two_state_chain, coin_extremal, depth):
+        # 2^14284 has 4 300 digits, Python's default int-string limit, and
+        # prints in full; 2^14285 and beyond are written as powers, never formed.
+        count = str(2**depth) if depth < 14285 else f"2^{depth}"
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as info:
+            el.refine_afl(two_state_chain, coin_extremal, depth)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"refinement would materialize {count} words, cap is 1048576"
+
     def test_rejects_depth_zero(self, two_state_chain, coin_extremal):
         with pytest.raises(ValidationError):
             el.refine_afl(two_state_chain, coin_extremal, 0)
@@ -257,10 +273,9 @@ class TestDistributions:
         [
             lambda mu: el.distribution(mu, np.eye(2)),
             lambda mu: el.hud_functional(mu, np.eye(2)),
-            lambda mu: el.mutual_information(mu, el.trivial_decomposition(mu), np.eye(2)),
             lambda mu: el.cnt_functional(mu, el.trivial_decomposition(mu), [np.eye(2)]),
         ],
-        ids=["distribution", "hud_functional", "mutual_information", "cnt_functional"],
+        ids=["distribution", "hud_functional", "cnt_functional"],
     )
     def test_rejects_a_bare_matrix(self, call):
         with pytest.raises(ValidationError, match="expected a partition, got ndarray"):

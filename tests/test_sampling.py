@@ -53,6 +53,10 @@ class TestSampleWords:
         with pytest.raises(ValidationError, match="sample"):
             sample_words(two_state_chain, blur_partition, 2, 0, 0)
 
+    def test_sample_count_beyond_int64_rejected(self, two_state_chain, blur_partition):
+        with pytest.raises(ValidationError, match=f"at most {2**63 - 1} samples"):
+            sample_words(two_state_chain, blur_partition, 2, 2**63, 0)
+
     def test_depth_validated(self, two_state_chain, blur_partition):
         with pytest.raises(ValidationError, match="depth"):
             sample_words(two_state_chain, blur_partition, 0, 10, 0)

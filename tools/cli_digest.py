@@ -19,13 +19,15 @@ each setting a command does not read (``--units``, ``--word-cap`` and
 ``rate``, ``compare``, ``report`` and ``sample`` with 0 and 2, ``cnt`` with
 0 and 3, and ``sup`` with 1, which takes none), which exits 1, and
 ``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
-exits 3, and four documents that ``json.dumps`` cannot write, or that
+exits 3, and five documents that ``json.dumps`` cannot write, or that
 must fail before any allocation: a system file that is not UTF-8, one
 with an integer literal longer than Python's 4 300-digit int-string
-limit and one with an integer beyond float range, which exit 1, and a
+limit, one with an integer beyond float range and one nested 100 000
+arrays deep, past the JSON parser's recursion limit, which exit 1, and a
 partition ``{"uniform": 99999999999}``, whose count exceeds the default
-word cap and which exits 2; last, the degenerate shapes: ``cnt`` on a
-one-state system, whose decompositions have index sizes (1, 1) and which has one
+word cap and which exits 2, and ``sample --samples 10**20``, beyond the
+int64 range of the counts, which exits 2; last, the degenerate shapes:
+``cnt`` on a one-state system, whose decompositions have index sizes (1, 1) and which has one
 identification, and ``cnt`` on a three-state system whose third state has
 stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
 and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
@@ -35,10 +37,13 @@ then, in every format, the rate estimates: ``--units bits`` on ``rate``
 --nmax 1`` whose estimate is null, and ``sup --kind kow --nmax 3
 --word-cap 4`` on the three-state doubly stochastic chain, whose
 three-cell candidate stops at depth 2 and is skipped, so that
-``candidates`` reads 4.
+``candidates`` reads 4.  After these in-process runs, every
+``demos/*.py`` runs as a subprocess with ``PYTHONPATH=<src>`` and the
+pinned BLAS environment, and prints one ``sha256  demos/<name>`` line over
+its exit code, stdout and stderr.
 ``--src`` picks the ``src`` directory that ``entropy_lab`` is imported
-from; fixtures and workloads always come from this checkout, so two trees
-are compared with
+from, and the demos come from ``<src>/../demos``; fixtures and workloads
+always come from this checkout, so two trees are compared with
 
     python3 tools/cli_digest.py --src OTHER/src > other.txt
     python3 tools/cli_digest.py > this.txt
@@ -57,6 +62,7 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +85,7 @@ RAW_ERROR_SYSTEMS = {
     "not_utf8": b"\xff{}",
     "int_over_digit_limit": b'{"transition": [[' + b"1" * 4301 + b"]]}",
     "int_beyond_float_range": b'{"transition": [[1' + b"0" * 400 + b"]]}",
+    "nested_past_recursion_limit": b'{"transition": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
 }
 HUGE_UNIFORM_PARTITION = {"uniform": 99999999999}
 ONE_STATE_SYSTEM = {"transition": [[1.0]]}
@@ -174,6 +181,8 @@ def error_argvs(directory: Path):
     path = directory / "huge_uniform.json"
     path.write_text(json.dumps(HUGE_UNIFORM_PARTITION))
     yield ["validate", "--system", CHAIN, "--partition", str(path)]
+    yield ["sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1",
+           "--samples", str(10**20)]
 
 
 def degenerate_argvs(directory: Path):
@@ -254,6 +263,11 @@ def main() -> int:
             emit(argv, tmp)
     for argv in estimate_argvs():
         emit(argv)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+        text = "\0".join((str(done.returncode), done.stdout, done.stderr))
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  demos/{demo.name}", flush=True)
     return 0
 
 
