@@ -18,7 +18,7 @@ from entropy_lab import (
     make_markov,
     sharp_partition,
 )
-from entropy_lab.dynamical import _identification_decomposition
+from entropy_lab.decompositions import _identification_decomposition
 
 
 def main():

@@ -33,10 +33,10 @@ from ._errors import (
     InequalityViolationError,
     ValidationError,
 )
-from .decompositions import DEFAULT_ENUMERATION_CAP
 from .documents import load_partition, load_system, system_to_document
 from .dynamical import (
     DEFAULT_DIM_CAP,
+    DEFAULT_ENUMERATION_CAP,
     EntropyKind,
     cnt_search,
     entropy_sequence,

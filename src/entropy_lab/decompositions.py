@@ -1,4 +1,4 @@
-"""Convex decompositions of a probability measure.
+"""Convex decompositions of a probability measure, and the arithmetic of their functional.
 
 A decomposition writes mu as sum_a weights[a] * components[a], each
 component itself a probability vector.  The component index may be a
@@ -9,13 +9,12 @@ defect measures how far the weight tensor is from a product of its
 marginals.
 
 Every decomposition built from a response matrix g is the one g induces,
-weights mu(g_a) and components mu * g_a / mu(g_a), computed by ``_induced``
-for one g or for a stack of them.  A stack of decompositions is checked as
-a whole by ``_checked_stack``, with the row check ``Decomposition`` applies
-to each one, and handed out one read-only ``Decomposition`` per row.
-Pruning is the policy of the marginals: they drop indices of weight below
-``PRUNE_TOL``, which add nothing to any entropy (eta is continuous at 0) and
-would force divisions by ~0 when normalizing.
+weights mu(g_a) and components mu * g_a / mu(g_a), built for a stack of g
+and checked once by ``_induced_stack``.  ``_cnt_value`` evaluates the
+decomposition functional in one fused pass, each marginal's information
+through ``_information``.  Pruning is the policy of the marginals: they
+drop indices of weight below ``PRUNE_TOL``, which add nothing to any
+entropy (eta is continuous at 0) and would force divisions by ~0.
 """
 
 from __future__ import annotations
@@ -25,15 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import ValidationError
-from .entropy import SUM_TOL, _eta, as_prob_vector, as_stochastic_matrix
+from ._errors import InequalityViolationError, ValidationError
+from .entropy import (
+    MI_FORM_TOL,
+    SUM_TOL,
+    _eta,
+    as_prob_vector,
+    as_stochastic_matrix,
+    relative_entropy_rows,
+)
 
 PRUNE_TOL = 1e-15
-DEFAULT_ENUMERATION_CAP = 10**6
 
 __all__ = [
     "PRUNE_TOL",
-    "DEFAULT_ENUMERATION_CAP",
     "Decomposition",
     "trivial_decomposition",
     "entropy_defect",
@@ -142,20 +146,24 @@ def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
     return Decomposition(np.ones(1), muv[None, :], (1,) * arity)
 
 
-def _induced(muv: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights mu(g_a) and components mu * g_a / mu(g_a) that g induces.
+def _induced_stack(muv: np.ndarray, responses: np.ndarray, sizes) -> list[Decomposition]:
+    """The decompositions that a stack of response matrices (m, states, prod(sizes)) induce.
 
-    g is a response matrix (states x indices), or a stack of them
-    (..., states, indices), and muv a checked measure.  The weights
-    (..., indices) are not normalized; an index of zero weight keeps muv as
-    its placeholder component in the components (..., indices, states).
-    Each matrix of a stack gives the same floats as it would alone.
+    Row i has weights mu(g_a), normalized per row, and components mu * g_a / mu(g_a), its
+    multi-index flat in C order; a zero-weight index carries muv as its placeholder component.
+    Each matrix gives the same floats as it would alone, and the stack is checked once.
     """
-    weights = muv @ response
+    weights = muv @ responses
     components = np.broadcast_to(muv, (*weights.shape, muv.shape[0])).copy()
     occupied = weights > 0.0
-    components[occupied] = (muv * np.swapaxes(response, -1, -2)[occupied]) / weights[occupied, None]
-    return weights, components
+    components[occupied] = (muv * responses.swapaxes(-1, -2)[occupied]) / weights[occupied, None]
+    return _checked_stack(weights / weights.sum(axis=1, keepdims=True), components, sizes)
+
+
+def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
+    """The identification decomposition of one outcome map per time index."""
+    codes = np.ravel_multi_index(assignments, sizes)
+    return _induced_stack(mu, np.eye(math.prod(sizes))[codes[None, :]], sizes)[0]
 
 
 def _other_axes(arity: int) -> list[tuple[int, ...]]:
@@ -211,3 +219,61 @@ def entropy_defect(decomposition: Decomposition) -> float:
     w = decomposition.weights
     return _defect([_eta(sums) for sums in _axis_sums(w, decomposition.index_sizes)], _eta(w))
 
+
+def _information(
+    weights: np.ndarray,
+    base: np.ndarray,
+    outcome_rows: np.ndarray,
+    base_etas: np.ndarray,
+    row_etas: np.ndarray,
+) -> float:
+    """Information an index carries about an outcome, on arrays the caller checked.
+
+    Returns the difference form S(mu o f) - sum_a w_a S(mu_a o f) once the relative form
+    sum_a w_a S(mu_a o f | mu o f) agrees within ``MI_FORM_TOL``, and raises otherwise.
+    ``base`` is mu o f, ``outcome_rows`` each component's outcome law, the etas their ``_eta``.
+    """
+    difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
+    if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
+        present = weights > 0.0
+        weights, outcome_rows = weights[present], outcome_rows[present]
+    relative_form = float(weights @ relative_entropy_rows(outcome_rows, base))
+    if abs(difference_form - relative_form) > MI_FORM_TOL:
+        raise InequalityViolationError(
+            "mutual information forms disagree: "
+            f"difference {difference_form!r} vs relative {relative_form!r}"
+        )
+    return difference_form
+
+
+def _cnt_value(
+    muv: np.ndarray,
+    weights: np.ndarray,
+    components: np.ndarray,
+    sizes: tuple[int, ...],
+    matrices: list[np.ndarray],
+) -> float:
+    """``cnt_functional`` of checked arrays in one pass.
+
+    The marginals share one weighted product (``_marginals``), and one
+    ``_eta`` call covers every entropy argument: each axis' base law and
+    marginal outcome rows, each axis' weight sums and the joint weights.
+    Only this elementwise work is fused: every sum reduces a view of the
+    shape a separate ``_eta`` call would return, so each entropy is the
+    same float as when evaluated alone.
+    """
+    axis_sums = _axis_sums(weights, sizes)
+    marginals = _marginals(weights, components, sizes, axis_sums)
+    bases = [muv @ matrix for matrix in matrices]
+    rows = [marg_c @ matrix for (_, marg_c), matrix in zip(marginals, matrices)]
+    pieces = [*bases, *rows, *axis_sums, weights]
+    flat = _eta(np.concatenate(pieces, axis=None))
+    etas, start = [], 0
+    for piece in pieces:
+        etas.append(flat[start : start + piece.size].reshape(piece.shape))
+        start += piece.size
+    arity = len(sizes)
+    total = 0.0
+    for axis, (marg_w, _) in enumerate(marginals):
+        total += _information(marg_w, bases[axis], rows[axis], etas[axis], etas[arity + axis])
+    return total - _defect(etas[2 * arity : 3 * arity], etas[-1])

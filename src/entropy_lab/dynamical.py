@@ -13,29 +13,21 @@ At every depth N the chain hud <= mak, hud <= afl <= kow holds; kow - afl
 measures decoherence lost to the diagonal, mak - hud is a Holevo-type gap.
 A rate is the tail of an ``EntropySequence``: its last increment and its
 last ratio, which agree in the limit but differ in finite-size bias.
+Of the decomposition functional, whose builder and arithmetic live in
+``decompositions``, this module keeps the public boundary and the scan.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._errors import CapExceededError, InequalityViolationError, ValidationError
-from .decompositions import (
-    DEFAULT_ENUMERATION_CAP,
-    Decomposition,
-    _axis_sums,
-    _checked_stack,
-    _defect,
-    _induced,
-    _marginals,
-    trivial_decomposition,
-)
-from .entropy import _eta, as_prob_vector, relative_entropy_rows, von_neumann_entropy
+from .decompositions import Decomposition, _cnt_value, _induced_stack, trivial_decomposition
+from .entropy import MI_FORM_TOL, _eta, as_prob_vector, von_neumann_entropy
 from .partitions import (
     DEFAULT_WORD_CAP,
     PartitionOfUnity,
@@ -50,7 +42,7 @@ from .partitions import (
 from .systems import StochasticSystem
 
 DEFAULT_DIM_CAP = 2048
-MI_FORM_TOL = 1e-9
+DEFAULT_ENUMERATION_CAP = 10**6
 # Candidates per stacked build of the cnt search, for both families.  Chunks
 # bound the memory: one stack of all 65 536 map tuples at n = 4 peaks at
 # 161 MB RSS, chunks of 256 at 36 MB, in the same time.
@@ -58,6 +50,7 @@ SCAN_CHUNK = 256
 
 __all__ = [
     "DEFAULT_DIM_CAP",
+    "DEFAULT_ENUMERATION_CAP",
     "EntropyKind",
     "EntropySequence",
     "CntSearchResult",
@@ -77,32 +70,6 @@ class EntropyKind(enum.Enum):
     MAK = "mak"
     AFL = "afl"
     KOW = "kow"
-
-
-def _information(
-    weights: np.ndarray,
-    base: np.ndarray,
-    outcome_rows: np.ndarray,
-    base_etas: np.ndarray,
-    row_etas: np.ndarray,
-) -> float:
-    """Information an index carries about an outcome, on arrays the caller checked.
-
-    Returns the difference form S(mu o f) - sum_a w_a S(mu_a o f) once the relative form
-    sum_a w_a S(mu_a o f | mu o f) agrees within ``MI_FORM_TOL``, and raises otherwise.
-    ``base`` is mu o f, ``outcome_rows`` each component's outcome law, the etas their ``_eta``.
-    """
-    difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
-    if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
-        present = weights > 0.0
-        weights, outcome_rows = weights[present], outcome_rows[present]
-    relative_form = float(weights @ relative_entropy_rows(outcome_rows, base))
-    if abs(difference_form - relative_form) > MI_FORM_TOL:
-        raise InequalityViolationError(
-            "mutual information forms disagree: "
-            f"difference {difference_form!r} vs relative {relative_form!r}"
-        )
-    return difference_form
 
 
 def hud_functional(mu, f) -> float:
@@ -142,39 +109,6 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     )
 
 
-def _cnt_value(
-    muv: np.ndarray,
-    weights: np.ndarray,
-    components: np.ndarray,
-    sizes: tuple[int, ...],
-    matrices: list[np.ndarray],
-) -> float:
-    """``cnt_functional`` of checked arrays in one pass.
-
-    The marginals share one weighted product (``_marginals``), and one
-    ``_eta`` call covers every entropy argument: each axis' base law and
-    marginal outcome rows, each axis' weight sums and the joint weights.
-    Only this elementwise work is fused: every sum reduces a view of the
-    shape a separate ``_eta`` call would return, so each entropy is the
-    same float as when evaluated alone.
-    """
-    axis_sums = _axis_sums(weights, sizes)
-    marginals = _marginals(weights, components, sizes, axis_sums)
-    bases = [muv @ matrix for matrix in matrices]
-    rows = [marg_c @ matrix for (_, marg_c), matrix in zip(marginals, matrices)]
-    pieces = [*bases, *rows, *axis_sums, weights]
-    flat = _eta(np.concatenate(pieces, axis=None))
-    etas, start = [], 0
-    for piece in pieces:
-        etas.append(flat[start : start + piece.size].reshape(piece.shape))
-        start += piece.size
-    arity = len(sizes)
-    total = 0.0
-    for axis, (marg_w, _) in enumerate(marginals):
-        total += _information(marg_w, bases[axis], rows[axis], etas[axis], etas[arity + axis])
-    return total - _defect(etas[2 * arity : 3 * arity], etas[-1])
-
-
 @dataclass(eq=False)
 class CntSearchResult:
     """Outcome of a decomposition search for the two-time functional."""
@@ -185,27 +119,6 @@ class CntSearchResult:
     negative_identifications: int
     identifications: int
     random_trials: int
-
-
-def _induced_stack(mu, responses: np.ndarray, sizes) -> list[Decomposition]:
-    """Multi-index decompositions, one per response matrix of a stack.
-
-    ``responses`` is (m, states, cells) with cells = prod(sizes), the flat
-    multi-index in C order.  Row i is the decomposition that response i
-    induces: weights mu(g_a), normalized per row, and components the
-    normalized restrictions of mu.  Indices with zero mass keep weight 0 and
-    carry mu as a placeholder component.  The stack is built by one
-    ``_induced`` call and checked once.
-    """
-    weights, components = _induced(mu, responses)
-    return _checked_stack(weights / weights.sum(axis=1, keepdims=True), components, sizes)
-
-
-def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
-    """The identification decomposition of one outcome map per time index."""
-    codes = np.ravel_multi_index(assignments, sizes)
-    (decomposition,) = _induced_stack(mu, np.eye(math.prod(sizes))[codes[None, :]], sizes)
-    return decomposition
 
 
 def _candidates(mu, n: int, budget: int, seed: int):

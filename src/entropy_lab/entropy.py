@@ -22,8 +22,9 @@ from ._errors import ValidationError
 
 # Tolerance ladder.  Sums of probabilities are checked loosely, symmetry
 # tightly; eigenvalue floors sit in between because eigensolvers are noisier
-# than sums.
+# than sums.  Entropy identities and bounds are checked within MI_FORM_TOL.
 SUM_TOL = 1e-9
+MI_FORM_TOL = 1e-9
 CLAMP_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 TRACE_TOL = 1e-10

@@ -212,8 +212,12 @@ def _check_refine_args(
         raise ValidationError("depth must be >= 1")
     if cap < 1:
         raise ValidationError(f"{cap_name} must be >= 1, got {cap}")
-    k = f.n_outcomes
-    if k > 1 and depth > int(cap).bit_length():  # k^N >= 2^N > cap
+    k, bound = f.n_outcomes, int(cap).bit_length()
+    if depth > bound and k == 1:  # one word at every depth, so the cap bounds the depth itself
+        raise CapExceededError(
+            f"depth {depth} is past {bound}, the deepest a {cap_name} of {cap} allows"
+        )
+    if depth > bound:  # k^N >= 2^N > cap
         # Counts longer than Python's default 4 300-digit int-string limit print as k^N.
         count = k**depth if depth < 4300 / math.log10(k) else f"{k}^{depth}"
         raise CapExceededError(message.format(n=count, cap=cap))

@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
-from entropy_lab.dynamical import MI_FORM_TOL, _information
-from entropy_lab.entropy import _eta
+from entropy_lab.decompositions import _information
+from entropy_lab.entropy import MI_FORM_TOL, _eta
 from entropy_lab.partitions import _response_of
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]

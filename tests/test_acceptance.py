@@ -37,7 +37,7 @@ from entropy_lab import (
 )
 from entropy_lab._errors import DocumentError, ValidationError
 from entropy_lab.cli import main as cli_main
-from entropy_lab.dynamical import _identification_decomposition
+from entropy_lab.decompositions import _identification_decomposition
 from entropy_lab.partitions import distribution
 from entropy_lab.reports import LN2
 

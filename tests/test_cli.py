@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ COIN = str(fixture_path("partitions", "coin_extremal.json"))
 SPLIT = str(fixture_path("partitions", "three_split.json"))
 
 H_CHAIN = 0.38352279010702806
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -320,6 +325,88 @@ class TestReportCommand:
         assert doc["command"] == "report"
 
 
+ALL_KIND_COMMANDS = ("compare", "report")
+# The ordering summary line of each command: its head, and its tail when every depth is ok.
+ORDERING_SUMMARY = {
+    "compare": ("ordering hud<=mak, hud<=afl<=kow: ", "all depths ok"),
+    "report": ("ordering: ", "ok"),
+}
+
+
+class TestOrderingViolations:
+    """The violation report of ``compare`` and ``report``: mak is lowered to 0 at depth 2."""
+
+    @pytest.fixture
+    def hud_at_depth_two(self, monkeypatch):
+        real = cli.entropy_sequence
+        system = load_system(CHAIN)
+        hud = real(system, load_partition(BLUR, system), el.EntropyKind.HUD, 3).values
+
+        def lowered(system, part, kind, n_max, **caps):
+            sequence = real(system, part, kind, n_max, **caps)
+            if kind is not el.EntropyKind.MAK:
+                return sequence
+            values = sequence.values.copy()
+            values[1] = 0.0
+            return el.EntropySequence(kind, values, sequence.truncated_at)
+
+        monkeypatch.setattr(cli, "entropy_sequence", lowered)
+        return float(hud[1])
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_json_lists_the_violation_with_exit_4(self, hud_at_depth_two, command):
+        code, doc, err = run_json(command, "--system", CHAIN, "--partition", BLUR, "--nmax", "3")
+        assert code == 4
+        assert err == ""
+        assert hud_at_depth_two > 0.0
+        assert doc["ordering_violations"] == [
+            {"depth": 2, "check": "hud<=mak", "low": hud_at_depth_two, "high": 0.0}
+        ]
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_csv_marks_the_violated_row(self, hud_at_depth_two, command):
+        code, out, _ = run(
+            command, "--system", CHAIN, "--partition", BLUR, "--nmax", "3", "--format", "csv"
+        )
+        assert code == 4
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+        assert [row.split(",")[-1] for row in rows] == ["ok", "VIOLATED", "ok"]
+        assert rows[1].split(",")[2] == "0"
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_table_summary_counts_the_violations(self, hud_at_depth_two, command):
+        code, out, _ = run(command, "--system", CHAIN, "--partition", BLUR, "--nmax", "3")
+        assert code == 4
+        assert f"{ORDERING_SUMMARY[command][0]}1 VIOLATIONS" in out.splitlines()
+        assert "truncated" not in out
+
+
+class TestAllKindsTruncation:
+    """``--word-cap 4`` stops every kind at depth 3, where k^N = 8 words."""
+
+    ARGV = ("--system", CHAIN, "--partition", BLUR, "--word-cap", "4", "--nmax", "3")
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_every_kind_stops_at_depth_3_with_exit_3(self, command):
+        code, doc, err = run_json(command, *self.ARGV)
+        assert code == 3
+        assert err == ""
+        assert doc["ordering_violations"] == []
+        for name in ("hud", "mak", "afl", "kow"):
+            assert doc["sequences"][name]["truncated_at"] == 3
+            assert len(doc["sequences"][name]["values"]) == 2
+            assert doc["estimates"][name]["depth"] == 2
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_table_says_truncated(self, command):
+        code, out, _ = run(command, *self.ARGV)
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[lines.index("") - 1] == "truncated: at least one kind hit a cap"
+        assert "".join(ORDERING_SUMMARY[command]) in lines
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
         code, _, err = run("frobnicate", "--system", CHAIN)
@@ -458,6 +545,77 @@ class TestExitCodes:
         code, _, err = run("validate", "--system", CHAIN)
         assert code == 4
         assert "ordering broke" in err
+
+
+class TestOneOutcomeDepth:
+    """A ``{"uniform": 1}`` partition has one word at every depth; the depth is bounded anyway.
+
+    Each huge depth runs in a subprocess under a timeout, so a depth loop
+    that never ends fails the test instead of hanging the suite.
+    """
+
+    HUGE = str(10**20)
+
+    @pytest.fixture
+    def one_outcome(self, tmp_path):
+        path = tmp_path / "one_outcome.json"
+        path.write_text(json.dumps({"uniform": 1}))
+        return str(path)
+
+    @staticmethod
+    def cli_subprocess(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "entropy_lab.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_huge_sample_depth_exits_3(self, one_outcome):
+        done = self.cli_subprocess(
+            "sample", "--system", CHAIN, "--partition", one_outcome,
+            "--depth", self.HUGE, "--seed", "1",
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: depth {self.HUGE} is past 21, the deepest a word_cap of 1048576 allows\n"
+        )
+
+    def test_huge_rate_nmax_stops_at_depth_22(self, one_outcome):
+        done = self.cli_subprocess(
+            "rate", "--system", CHAIN, "--partition", one_outcome,
+            "--kind", "kow", "--nmax", self.HUGE, "--format", "json",
+        )
+        assert done.returncode == 3
+        sequence = json.loads(done.stdout)["sequence"]
+        assert sequence["truncated_at"] == 22
+        assert sequence["values"] == [0.0] * 21
+
+    def test_huge_sup_nmax_has_the_winner_of_nmax_30(self):
+        done = self.cli_subprocess(
+            "sup", "--system", CHAIN, "--kind", "kow", "--nmax", self.HUGE, "--format", "json"
+        )
+        assert done.returncode == 0
+        code, doc, _ = run_json("sup", "--system", CHAIN, "--kind", "kow", "--nmax", "30")
+        assert code == 0
+        huge = json.loads(done.stdout)
+        assert (huge["cells"], huge["estimate"], huge["candidates"]) == (
+            doc["cells"], doc["estimate"], doc["candidates"]
+        )
+
+    @pytest.mark.parametrize("kind, truncated_at", [("kow", 22), ("afl", 13)])
+    def test_rate_past_the_depth_bound_exits_3(self, one_outcome, kind, truncated_at):
+        # Before the depth bound covered one outcome, --nmax 30 gave 30 zeros and exit 0.
+        code, doc, _ = run_json(
+            "rate", "--system", CHAIN, "--partition", one_outcome, "--kind", kind, "--nmax", "30"
+        )
+        assert code == 3
+        assert doc["sequence"]["truncated_at"] == truncated_at
+        assert doc["sequence"]["values"] == [0.0] * (truncated_at - 1)
 
 
 class TestMalformedInput:

@@ -5,7 +5,7 @@ import pytest
 
 import entropy_lab as el
 from entropy_lab import ValidationError
-from entropy_lab.decompositions import Decomposition, _induced
+from entropy_lab.decompositions import Decomposition, _induced_stack
 
 from conftest import marginal, random_partition, random_prob
 
@@ -62,28 +62,35 @@ class TestTrivialDecomposition:
             el.trivial_decomposition([1.0], 0)
 
 
+def induced(mu, response) -> Decomposition:
+    """The one-index decomposition that one response matrix induces."""
+    (decomposition,) = _induced_stack(mu, response[None], (response.shape[1],))
+    return decomposition
+
+
 class TestInduced:
-    """``_induced``, the one builder of every decomposition a response matrix induces."""
+    """``_induced_stack``, the one builder of every decomposition a response matrix induces."""
 
     def test_weights_and_mixture(self, blur_partition):
         mu = np.array([0.4, 0.6])
-        weights, components = _induced(mu, blur_partition.response)
-        assert np.array_equal(weights, mu @ blur_partition.response)
-        assert np.max(np.abs(weights @ components - mu)) <= 1e-15
+        dec = induced(mu, blur_partition.response)
+        weights = mu @ blur_partition.response
+        assert np.array_equal(dec.weights, weights / weights.sum())
+        assert np.max(np.abs(dec.weights @ dec.components - mu)) <= 1e-15
 
     def test_zero_weight_index_keeps_mu_as_placeholder(self):
         mu = np.array([0.5, 0.5])
-        weights, components = _induced(mu, np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert np.array_equal(weights, [1.0, 0.0])
-        assert np.array_equal(components[1], mu)
+        dec = induced(mu, np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(dec.weights, [1.0, 0.0])
+        assert np.array_equal(dec.components[1], mu)
 
     def test_components_recover_the_response(self):
         # mu-densities of the components, times their weights, are the response columns.
         rng = np.random.default_rng(6)
         mu = random_prob(rng, 4)
         part = random_partition(rng, 4, 3)
-        weights, components = _induced(mu, part.response)
-        densities = (weights[:, None] * components / mu).T
+        dec = induced(mu, part.response)
+        densities = (dec.weights[:, None] * dec.components / mu).T
         assert np.max(np.abs(densities - part.response)) <= 1e-12
 
     def test_stack_gives_each_matrix_its_own_floats(self):
@@ -92,11 +99,11 @@ class TestInduced:
         stack = np.stack([random_partition(rng, 3, 4).response for _ in range(3)])
         stack[1, :, 0] += stack[1, :, 3]
         stack[1, :, 3] = 0.0  # one index of zero weight inside the stack
-        weights, components = _induced(mu, stack)
+        decompositions = _induced_stack(mu, stack, (4,))
         for i in range(3):
-            alone_w, alone_c = _induced(mu, stack[i])
-            assert np.array_equal(weights[i], alone_w)
-            assert np.array_equal(components[i], alone_c)
+            alone = induced(mu, stack[i])
+            assert np.array_equal(decompositions[i].weights, alone.weights)
+            assert np.array_equal(decompositions[i].components, alone.components)
 
 
 class TestMultiDecomposition:
@@ -142,12 +149,12 @@ class TestMultiDecomposition:
         rng = np.random.default_rng(17)
         mu = random_prob(rng, 4)
         f, g = random_partition(rng, 4, 2), random_partition(rng, 4, 3)
-        dec = Decomposition(*_induced(mu, el.join(f, g).response), (2, 3))
+        (dec,) = _induced_stack(mu, el.join(f, g).response[None], (2, 3))
         for axis, part in enumerate((f, g)):
-            weights, components = _induced(mu, part.response)
+            alone = induced(mu, part.response)
             m = marginal(dec, axis)
-            assert np.max(np.abs(m.weights - weights)) <= 1e-12
-            assert np.max(np.abs(m.components - components)) <= 1e-12
+            assert np.max(np.abs(m.weights - alone.weights)) <= 1e-12
+            assert np.max(np.abs(m.components - alone.components)) <= 1e-12
             assert np.max(np.abs(m.weights @ m.components - mu)) <= 1e-12
 
     def test_entropy_defect_positive_when_correlated(self):

@@ -13,13 +13,8 @@ from hypothesis import strategies as st
 import entropy_lab as el
 from entropy_lab import CapExceededError, InequalityViolationError, ValidationError, dynamical
 from entropy_lab.cli import _estimate_doc
-from entropy_lab.decompositions import PRUNE_TOL, Decomposition
-from entropy_lab.dynamical import (
-    DEFAULT_DIM_CAP,
-    _identification_decomposition,
-    _mak_state_side,
-    iter_set_partitions,
-)
+from entropy_lab.decompositions import PRUNE_TOL, Decomposition, _identification_decomposition
+from entropy_lab.dynamical import DEFAULT_DIM_CAP, _mak_state_side, iter_set_partitions
 
 from conftest import marginal, random_partition, random_prob, random_system
 from oracles import (

@@ -213,19 +213,33 @@ class TestRefinements:
             el.refine_afl(two_state_chain, coin_extremal, 4, word_cap=8)
 
     @pytest.mark.parametrize(
-        "depth",
-        [21, 30, 14284, 14285, 10**20, 10**400],
-        ids=["21", "30", "14284", "14285", "1e20", "1e400"],
+        "k, depth",
+        [(2, 21), (2, 30), (2, 14284), (2, 14285), (2, 10**20), (2, 10**400),
+         (1, 22), (1, 30), (1, 10**20), (1, 10**400)],
+        ids=["21", "30", "14284", "14285", "1e20", "1e400",
+             "one-outcome-22", "one-outcome-30", "one-outcome-1e20", "one-outcome-1e400"],
     )
-    def test_depth_past_the_cap_fails_at_once(self, two_state_chain, coin_extremal, depth):
+    def test_depth_past_the_cap_fails_at_once(self, two_state_chain, coin_extremal, k, depth):
         # 2^14284 has 4 300 digits, Python's default int-string limit, and
         # prints in full; 2^14285 and beyond are written as powers, never formed.
-        count = str(2**depth) if depth < 14285 else f"2^{depth}"
+        # A one-outcome partition has one word at every depth, so its depth is
+        # bounded by the cap's bit length (21 for 2^20) like that of k = 2.
+        part = coin_extremal if k == 2 else el.uniform_unsharp(2, 1)
+        if k == 1:
+            message = f"depth {depth} is past 21, the deepest a word_cap of 1048576 allows"
+        else:
+            count = str(2**depth) if depth < 14285 else f"2^{depth}"
+            message = f"refinement would materialize {count} words, cap is 1048576"
         start = time.perf_counter()
         with pytest.raises(CapExceededError) as info:
-            el.refine_afl(two_state_chain, coin_extremal, depth)
+            el.refine_afl(two_state_chain, part, depth)
         assert time.perf_counter() - start < 1.0
-        assert str(info.value) == f"refinement would materialize {count} words, cap is 1048576"
+        assert str(info.value) == message
+
+    def test_one_outcome_reaches_the_depth_bound(self, two_state_chain):
+        refined = el.refine_afl(two_state_chain, el.uniform_unsharp(2, 1), 21)
+        assert refined.n_words == 1
+        assert np.array_equal(refined.elements, np.ones((2, 1)))
 
     def test_rejects_depth_zero(self, two_state_chain, coin_extremal):
         with pytest.raises(ValidationError):

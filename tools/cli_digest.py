@@ -31,13 +31,18 @@ int64 range of the counts, which exits 2; last, the degenerate shapes:
 identification, and ``cnt`` on a three-state system whose third state has
 stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
 and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
-whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates;
+whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates,
+and ``rate --kind kow --nmax 30`` and ``rate --kind afl --nmax 30`` on a
+``{"uniform": 1}`` partition, whose one word never passes a cap, so that
+only the depth bound of the caps stops them (at depths 22 and 13);
 then, in every format, the rate estimates: ``--units bits`` on ``rate``
 (each kind), ``compare``, ``report``, ``cnt`` and ``sup``, a ``rate
---nmax 1`` whose estimate is null, and ``sup --kind kow --nmax 3
+--nmax 1`` whose estimate is null, ``sup --kind kow --nmax 3
 --word-cap 4`` on the three-state doubly stochastic chain, whose
 three-cell candidate stops at depth 2 and is skipped, so that
-``candidates`` reads 4.  After these in-process runs, every
+``candidates`` reads 4, and ``compare`` and ``report`` with ``--word-cap 4
+--nmax 3``, where every kind stops at depth 3 and the command exits 3.
+After these in-process runs, every
 ``demos/*.py`` runs as a subprocess with ``PYTHONPATH=<src>`` and the
 pinned BLAS environment, and prints one ``sha256  demos/<name>`` line over
 its exit code, stdout and stderr.
@@ -95,6 +100,7 @@ TINY_MASS_SYSTEM = {
     "stationary": [0.5, 0.4999999999999999, 1e-16],
 }
 TINY_MASS_PARTITION = {"response": [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]}
+ONE_OUTCOME_PARTITION = {"uniform": 1}
 UNREAD_SETTINGS = {
     ("validate", "--system", CHAIN): ("--units", "--word-cap", "--dim-cap"),
     ("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1"): ("--word-cap", "--dim-cap"),
@@ -186,7 +192,7 @@ def error_argvs(directory: Path):
 
 
 def degenerate_argvs(directory: Path):
-    """Runs on the smallest shapes and on a random family that spans chunks.
+    """Runs on the smallest shapes, on a random family that spans chunks, and to the depth bound.
 
     Documents are written to ``directory``.
     """
@@ -199,10 +205,14 @@ def degenerate_argvs(directory: Path):
     part.write_text(json.dumps(TINY_MASS_PARTITION))
     yield ["cnt", "--system", str(system), "--partition", str(part), "--budget", "3", "--seed", "1"]
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "300", "--seed", "4"]
+    part = directory / "one_outcome.json"
+    part.write_text(json.dumps(ONE_OUTCOME_PARTITION))
+    for kind in ("kow", "afl"):
+        yield ["rate", "--system", CHAIN, "--partition", str(part), "--kind", kind, "--nmax", "30"]
 
 
 def estimate_argvs():
-    """Runs that convert units or read, or skip, a rate estimate, in every format."""
+    """Runs that convert units or read, skip or truncate a rate estimate, in every format."""
     head = ["--system", CHAIN, "--partition", BLUR]
     for fmt in FORMATS:
         tail = ["--format", fmt]
@@ -214,6 +224,8 @@ def estimate_argvs():
         yield ["sup", "--system", CHAIN, "--kind", "kow", "--nmax", "3", "--units", "bits", *tail]
         yield ["rate", *head, "--kind", "kow", "--nmax", "1", *tail]
         yield ["sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", "4", *tail]
+        for command in ("compare", "report"):
+            yield [command, *head, "--word-cap", "4", "--nmax", "3", *tail]
 
 
 def main() -> int:
