@@ -192,7 +192,7 @@ def _partition_doc(part) -> dict:
         "labels": list(part.labels),
         "n_outcomes": part.n_outcomes,
         "sharp": part.is_sharp(),
-        "response": [[float(v) for v in row] for row in part.response],
+        "response": part.response.tolist(),
     }
 
 
@@ -252,8 +252,11 @@ def cmd_rate(args, system, parts):
     return Report(doc, ["N", "s_N", "increment", "ratio"], rows, summary), code
 
 
-def _ordering_violations(seqs: dict, n: int) -> list:
-    """Check hud <= mak and hud <= afl <= kow at 0-based depth index n."""
+def _ordering_violations(seqs: dict, n: int, units: str) -> list:
+    """Check hud <= mak and hud <= afl <= kow at 0-based depth index n.
+
+    The check is in nats against ``ORDER_TOL``; a violation reports its values in ``units``.
+    """
     hud = seqs[EntropyKind.HUD].values
     mak = seqs[EntropyKind.MAK].values
     afl = seqs[EntropyKind.AFL].values
@@ -265,7 +268,12 @@ def _ordering_violations(seqs: dict, n: int) -> list:
         ("afl<=kow", afl[n], kow[n]),
     ):
         if low > high + ORDER_TOL:
-            out.append({"depth": n + 1, "check": name, "low": float(low), "high": float(high)})
+            out.append({
+                "depth": n + 1,
+                "check": name,
+                "low": convert_units(float(low), units),
+                "high": convert_units(float(high), units),
+            })
     return out
 
 
@@ -278,7 +286,9 @@ def _all_kinds(args, system, part, intro: list, ordering: str, ok: str):
         for kind in EntropyKind
     }
     common_depth = min(s.n_max for s in seqs.values())
-    violations = [v for i in range(common_depth) for v in _ordering_violations(seqs, i)]
+    violations = [
+        v for i in range(common_depth) for v in _ordering_violations(seqs, i, args.units)
+    ]
     truncated = any(s.truncated_at is not None for s in seqs.values())
     docs = {k.value: _sequence_doc(s, args.units) for k, s in seqs.items()}
     doc = {
@@ -331,7 +341,7 @@ def cmd_cnt(args, system, parts):
         "best_value": convert_units(result.best_value, args.units),
         "witness": result.witness_label,
         "index_sizes": list(witness.index_sizes),
-        "witness_weights": [float(w) for w in witness.weights],
+        "witness_weights": witness.weights.tolist(),
         "negative_identifications": result.negative_identifications,
         "identifications": result.identifications,
         "random_trials": result.random_trials,
@@ -367,9 +377,9 @@ def cmd_sample(args, system, parts):
         "within_bound": bool(tv <= bound),
     }
     if counts.shape[0] <= 1024:
-        doc["counts"] = [int(c) for c in counts]
-        doc["empirical"] = [float(v) for v in empirical]
-        doc["analytic"] = [float(v) for v in analytic]
+        doc["counts"] = counts.tolist()
+        doc["empirical"] = empirical.tolist()
+        doc["analytic"] = analytic.tolist()
     top = np.argsort(-analytic, kind="stable")[:16]
     rows = [
         (

@@ -170,6 +170,6 @@ def system_to_document(system: StochasticSystem) -> dict:
     """Serialize a system; parse_system(system_to_document(s)) reproduces s exactly."""
     return {
         "states": list(system.states),
-        "transition": [[float(v) for v in row] for row in system.transition],
-        "stationary": [float(v) for v in system.stationary],
+        "transition": system.transition.tolist(),
+        "stationary": system.stationary.tolist(),
     }

@@ -9,12 +9,15 @@ its word code becomes ``code * k + symbol``.  Between times every group
 splits by one multinomial over its transition row, and the groups that
 share (next state, code) merge.  By the splitting property of the
 multinomial, the counts have exactly the law of ``n_samples`` independent
-trajectories.
+trajectories.  The merge sums the group sizes into a dense array indexed by
+``state * k^t + code`` after t symbols and reads the occupied keys off it in
+ascending order, the order a sort would give, without sorting.
 
 The cost is O(depth * min(n_samples, n * k^depth)) group splits, against
-O(depth * n_samples) draws for trajectory-wise sampling, and no array has
-one entry per sample.  So the sampler pays off when n * k^depth is well
-below ``n_samples``.  Where it is not, it can be slower than drawing
+O(depth * n_samples) draws for trajectory-wise sampling.  No array has one
+entry per sample; the largest, the last merge array, has n * k^(depth-1)
+entries.  So the sampler pays off when n * k^depth is well below
+``n_samples``.  Where it is not, it can be slower than drawing
 trajectories, but there the reference ``tv_bound`` is near 1.  All draws
 come from one generator seeded with ``SeedSequence(seed)``, in a fixed
 order: groups are visited sorted by (state, code).  Seeded reruns give the
@@ -65,7 +68,8 @@ def sample_words(
     measure, an outcome from the current response row at each of ``depth``
     times, and a transition between consecutive times.  The samples are
     drawn together, as groups that share state and word (see the module
-    docstring).
+    docstring).  The merge array has at most n * k^(depth-1) int64 entries,
+    1/k of the n * k^depth elements ``refine_afl`` builds at the same depth.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -88,8 +92,9 @@ def sample_words(
         if step < depth - 1:
             group, states, sizes = _split(rng, system.transition, states, sizes)
             stride = k ** (step + 1)
-            keys, merged = np.unique(states * stride + codes[group], return_inverse=True)
-            sizes = _sum_by(merged, sizes, keys.shape[0])
+            merged = _sum_by(states * stride + codes[group], sizes, system.n_states * stride)
+            keys = np.flatnonzero(merged)
+            sizes = merged[keys]
             states, codes = np.divmod(keys, stride)
     return _sum_by(codes, sizes, n_words)
 

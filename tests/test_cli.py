@@ -353,15 +353,21 @@ class TestOrderingViolations:
         monkeypatch.setattr(cli, "entropy_sequence", lowered)
         return float(hud[1])
 
+    @pytest.mark.parametrize("units", ["nats", "bits"])
     @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
-    def test_json_lists_the_violation_with_exit_4(self, hud_at_depth_two, command):
-        code, doc, err = run_json(command, "--system", CHAIN, "--partition", BLUR, "--nmax", "3")
+    def test_json_lists_the_violation_with_exit_4(self, hud_at_depth_two, command, units):
+        code, doc, err = run_json(
+            command, "--system", CHAIN, "--partition", BLUR, "--nmax", "3", "--units", units
+        )
         assert code == 4
         assert err == ""
         assert hud_at_depth_two > 0.0
+        low = convert_units(hud_at_depth_two, units)
         assert doc["ordering_violations"] == [
-            {"depth": 2, "check": "hud<=mak", "low": hud_at_depth_two, "high": 0.0}
+            {"depth": 2, "check": "hud<=mak", "low": low, "high": 0.0}
         ]
+        # In the units of the sequence the violation was read from.
+        assert low == doc["sequences"]["hud"]["values"][1]
 
     @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
     def test_csv_marks_the_violated_row(self, hud_at_depth_two, command):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
@@ -149,9 +149,18 @@ def sampling_cases(draw):
     return system, part, depth, n_samples, draw(st.integers(0, 2**32))
 
 
+def sparse_case(n: int, k: int, depth: int, n_samples: int):
+    """A dense chain and unsharp partition where n * k^depth far exceeds the sample count."""
+    rng = np.random.default_rng(n * 100 + k)
+    return random_system(rng, n), random_partition(rng, n, k), depth, n_samples, 3
+
+
 class TestAgainstGroupOracle:
     @settings(max_examples=60, deadline=None)
     @given(sampling_cases())
+    # The merge array has n * k^(depth-1) entries, most of them never occupied.
+    @example(sparse_case(3, 2, 8, 50))
+    @example(sparse_case(6, 6, 5, 200))
     def test_counts_equal_the_per_group_loop(self, case):
         system, part, depth, n_samples, seed = case
         counts = sample_words(system, part, depth, n_samples, seed)
