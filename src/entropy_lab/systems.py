@@ -68,20 +68,34 @@ def _state_labels(states, n: int) -> tuple[str, ...]:
 def stationary_measure(transition) -> np.ndarray:
     """Stationary probability vector of a row-stochastic matrix.
 
-    Solves (P^T - I) mu = 0 with its last equation replaced by sum(mu) = 1.
-    The solution is unique exactly when the chain has one recurrent class,
-    periodic or not.  A singular system or a solution with a (near-)zero
-    entry signals a reducible chain and raises; supply the measure
-    explicitly in that case.  The result is accepted only if
+    A chain is accepted exactly when it is irreducible, periodic or not:
+    every state must reach every state along positive entries of P, which
+    is read from the support of P alone.  A reducible chain raises; supply
+    its intended measure explicitly.
+
+    Solves (P^T - I) mu = 0 with its last equation replaced by sum(mu) = 1,
+    which has one strictly positive solution for an irreducible chain.
+    Masses far below 1e-12 are kept as solved.  A solved entry at or below 0
+    means the mass lies below what the solve resolves (around 1e-16) and
+    raises, asking for the measure.  The result is accepted only if
     |mu P - mu| <= 1e-10.
     """
     p = as_stochastic_matrix(transition, "transition")
     n = p.shape[0]
     if p.shape[1] != n:
         raise ValidationError(f"transition must be square, got {p.shape}")
-    reducible = (
-        "stationary measure is not unique or has a (near-)zero entry; the chain is "
-        "reducible, pass the intended measure explicitly"
+    # After s squarings, reach[x, y] says whether y is reachable in at most 2^s steps.
+    reach = ((p > 0.0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach @ reach > 0.0).astype(float)
+    if not reach.all():
+        raise ValidationError(
+            "some state cannot reach another; the chain is reducible, "
+            "pass the intended measure explicitly"
+        )
+    unresolved = (
+        "a stationary mass is below what the solve resolves; "
+        "pass the intended measure explicitly"
     )
     system = p.T - np.eye(n)
     system[-1] = 1.0
@@ -90,11 +104,11 @@ def stationary_measure(transition) -> np.ndarray:
     try:
         mu = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        raise ValidationError(reducible) from None
+        raise ValidationError(unresolved) from None
     np.clip(mu, 0.0, None, out=mu)
     mu /= mu.sum()
-    if not np.all(mu >= 1e-12):  # also false for the NaN of an all-zero solve
-        raise ValidationError(reducible)
+    if not np.all(mu > 0.0):  # also false for the NaN of an all-zero solve
+        raise ValidationError(unresolved)
     residual = float(np.max(np.abs(mu @ p - mu)))
     if residual > STATIONARY_TOL:
         raise ValidationError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}")
@@ -115,7 +129,9 @@ def make_markov(states, transition, stationary=None) -> StochasticSystem:
         Probability vector with strictly positive entries, invariant under
         the transition within 1e-9.  If omitted, it is solved for directly
         by ``stationary_measure``, which accepts any irreducible chain,
-        periodic ones included.
+        periodic ones and ones with stationary masses far below 1e-12
+        included; only a mass below what the solve resolves (around
+        1e-16) needs the measure supplied.
     """
     p = as_stochastic_matrix(transition, "transition")
     n = p.shape[0]

@@ -7,10 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import entropy_lab as el
 from entropy_lab.decompositions import Decomposition, _axis_sums, _marginals
 from entropy_lab.entropy import relative_entropy_rows
+
+# One profile for every property test: no deadline, since a draw's run time
+# follows the size it draws, and the blob that replays a failing draw.
+settings.register_profile("entropy-lab", deadline=None, print_blob=True)
+settings.load_profile("entropy-lab")
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 

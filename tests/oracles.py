@@ -141,12 +141,11 @@ def mak_elements_by_powers(system, response: np.ndarray, depth: int) -> np.ndarr
 
 
 def gram_state(mu: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Double-loop Gram matrix sum_x mu_x sqrt(f_k(x) f_l(x))."""
+    """Gram matrix sum_x mu_x sqrt(f_k(x) f_l(x)), built one row k at a time."""
     k = matrix.shape[1]
     rho = np.zeros((k, k))
     for a in range(k):
-        for b in range(k):
-            rho[a, b] = float(np.sum(mu * np.sqrt(matrix[:, a] * matrix[:, b])))
+        rho[a] = mu @ np.sqrt(matrix[:, a, None] * matrix)
     return rho
 
 

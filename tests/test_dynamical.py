@@ -31,6 +31,7 @@ from oracles import (
     set_partitions_by_product,
     shannon,
 )
+from strategies import depths, last_depth, partitions, systems
 
 S_MU_CHAIN = 0.6365141682948128
 H_CHAIN = 0.38352279010702806
@@ -172,8 +173,8 @@ def cnt_cases(draw):
 
     Decompositions: one-index and two-index random density decompositions,
     and two-time identification decompositions whose non-surjective maps
-    leave zero-weight indices.  Partitions: unsharp, sharp or totally
-    mixing, drawn independently per index.
+    leave zero-weight indices.  Each index gets its own partition from the
+    zoo in ``strategies``.
     """
     n = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -190,17 +191,7 @@ def cnt_cases(draw):
         weights = mu @ response
         components = (mu[None, :] * response.T) / weights[:, None]
         dec = Decomposition(weights / weights.sum(), components, sizes)
-    parts = []
-    for _ in range(dec.arity):
-        k = int(rng.integers(2, 4))
-        kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
-        if kind == "unsharp":
-            parts.append(random_partition(rng, n, k))
-        elif kind == "sharp":
-            parts.append(el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)]))
-        else:
-            parts.append(el.uniform_unsharp(n, k))
-    return mu, dec, parts
+    return mu, dec, [draw(partitions(n)) for _ in range(dec.arity)]
 
 
 def _prune_case():
@@ -259,7 +250,7 @@ def _with_edge_cases(test):
 
 
 class TestCntDecomposition:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(cnt_cases())
     @_with_edge_cases
     def test_equals_marginal_information_minus_defect(self, case):
@@ -270,7 +261,7 @@ class TestCntDecomposition:
         ) - el.entropy_defect(dec)
         assert el.cnt_functional(mu, dec, parts) == expected
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(cnt_cases())
     @_with_edge_cases
     def test_matches_loop_oracle(self, case):
@@ -318,60 +309,18 @@ class TestCntEdgeCases:
             el.cnt_functional(mu, dec, parts)
 
 
-def _scan_partition(draw, rng, n):
-    k = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
-    if kind == "unsharp":
-        return random_partition(rng, n, k)
-    if kind == "sharp":
-        return el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
-    return el.uniform_unsharp(n, k)
-
-
-def _draw_system(draw, rng, n):
-    """A dense, sparse, deterministic, periodic or tiny-mass chain on n states.
-
-    Sparse is a cycle plus one random jump per state, deterministic a
-    permutation, periodic the cycle x -> x + 1 (for n = 3 a random chain of
-    period 2), and tiny-mass independent with one stationary mass of 1e-9
-    or 1e-13.
-    """
-    chain = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny")))
-    if chain == "dense":
-        return random_system(rng, n)
-    if chain == "sparse":
-        p = np.zeros((n, n))
-        stay = rng.uniform(0.1, 0.9, size=n)
-        p[np.arange(n), (np.arange(n) + 1) % n] = stay
-        np.add.at(p, (np.arange(n), rng.integers(0, n, size=n)), 1.0 - stay)
-        return el.make_markov(n, p)
-    if chain == "deterministic":
-        return el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
-    if chain == "periodic":
-        p = np.eye(n)[(np.arange(n) + 1) % n]
-        if n == 3:
-            a = rng.uniform(0.1, 0.9)
-            p = np.array([[0.0, 1.0, 0.0], [a, 0.0, 1.0 - a], [0.0, 1.0, 0.0]])
-        return el.make_markov(n, p)
-    probabilities = random_prob(rng, n)
-    if n > 1:
-        probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
-    return el.make_bernoulli(probabilities / probabilities.sum())
-
-
 @st.composite
 def scan_cases(draw):
     """A system, f, an optional g, a random budget and seed, and a scan chunk size.
 
-    The chain comes from ``_draw_system``.  g is either left to default to
-    theta f or drawn like f.  Budgets of 8 and 15 split
-    the random family across chunks of 1 and 7.
+    f and g have at most 3 outcomes; g is either left to default to theta f
+    or drawn like f.  Budgets of 8 and 15 split the random family across
+    chunks of 1 and 7.
     """
     n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    system = _draw_system(draw, rng, n)
-    f = _scan_partition(draw, rng, n)
-    g = _scan_partition(draw, rng, n) if draw(st.booleans()) else None
+    system = draw(systems(n))
+    f = draw(partitions(n, 3))
+    g = draw(st.none() | partitions(n, 3))
     budget = draw(st.sampled_from((0, 1, 8, 15)))
     seed = draw(st.integers(0, 2**31 - 1))
     chunk = draw(st.sampled_from((1, 7, dynamical.SCAN_CHUNK)))
@@ -380,11 +329,9 @@ def scan_cases(draw):
 
 @st.composite
 def onetime_cases(draw):
-    """A chain on 1 to 4 states (see ``_draw_system``) and one partition f of it."""
+    """A chain on 1 to 4 states and one partition f of it."""
     n = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    system = _draw_system(draw, rng, n)
-    return system, _scan_partition(draw, rng, n)
+    return draw(systems(n)), draw(partitions(n))
 
 
 class TestCntOnetime:
@@ -396,7 +343,7 @@ class TestCntOnetime:
             part = random_partition(rng, n, k)
             assert abs(extremal_maximum(mu, part) - el.hud_functional(mu, part)) <= 1e-9
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(onetime_cases())
     def test_identification_maximum_is_hud(self, case):
         """Over all n^n maps, the one-index functional peaks at hud(f), at an injective map."""
@@ -413,7 +360,7 @@ class TestCntOnetime:
 
 
 class TestCntSearch:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(scan_cases())
     def test_scan_equals_identification_oracle(self, case):
         system, f, g, budget, seed, chunk = case
@@ -432,7 +379,7 @@ class TestCntSearch:
         assert np.array_equal(result.witness.weights, witness.weights)
         assert np.array_equal(result.witness.components, witness.components)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(scan_cases())
     def test_every_candidate_stays_under_the_hud_bound_of_the_join(self, case):
         """The functional is at most I(X; Y_1 Y_2) = hud(f v g), as the README proves."""
@@ -654,32 +601,61 @@ class TestEntropySequence:
             el.sample_words(two_state_chain, blur_partition, 2, 10, 1, word_cap=0)
 
 
-@st.composite
-def sharp_chains(draw):
-    """A sharp partition of a deterministic, periodic or tiny-mass chain, and a depth.
+CAPS = st.integers(1, 6) | st.integers(7, 256)
 
-    Deterministic chains are permutations; periodic ones move between the
-    even and the odd states at random (period 2); tiny-mass chains give one state a
-    stationary mass of 1e-9 or 1e-13.  k^depth stays at most 256.
+
+def _kind_cap(kind, word_cap: int, dim_cap: int) -> int:
+    """The cap on k^N for one kind: afl's state is indexed by words, so both caps bound it."""
+    return min(word_cap, dim_cap) if kind is el.EntropyKind.AFL else word_cap
+
+
+@st.composite
+def cap_cases(draw):
+    """A chain, a partition, a kind, both caps and a depth at the edge of the kind's cap.
+
+    The caps are at most 256, so the afl state stays at most 256 wide.
     """
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 3))
-    depth = draw(st.integers(1, max(d for d in range(1, 9) if k**d <= 256)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    chain = draw(st.sampled_from(("deterministic", "periodic", "tiny")))
-    if chain == "deterministic":
-        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
-    elif chain == "periodic":
-        parity = np.arange(n) % 2
-        p = np.where(parity[:, None] != parity[None, :], rng.uniform(0.1, 1.0, (n, n)), 0.0)
-        system = el.make_markov(n, p / p.sum(axis=1, keepdims=True) if n > 1 else [[1.0]])
-    else:
-        probabilities = random_prob(rng, n)
-        if n > 1:
-            probabilities[0] = draw(st.sampled_from((1e-9, 1e-13)))
-        system = el.make_bernoulli(probabilities / probabilities.sum())
-    part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
-    return system, part, depth
+    part = draw(partitions(n))
+    kind = draw(st.sampled_from(list(el.EntropyKind)))
+    word_cap, dim_cap = draw(CAPS), draw(CAPS)
+    depth = draw(depths(part.n_outcomes, _kind_cap(kind, word_cap, dim_cap)))
+    return draw(systems(n)), part, kind, word_cap, dim_cap, depth
+
+
+class TestCapBoundaries:
+    @settings(max_examples=150)
+    @given(cap_cases())
+    def test_every_kind_stops_at_the_first_depth_past_its_cap(self, case):
+        system, part, kind, word_cap, dim_cap, depth = case
+        k = part.n_outcomes
+        last = last_depth(k, _kind_cap(kind, word_cap, dim_cap))
+        if kind is el.EntropyKind.MAK and system.n_states > dim_cap:
+            last = 0  # the n x n Gram side is over the cap at every depth
+        seq = el.entropy_sequence(system, part, kind, depth, word_cap=word_cap, dim_cap=dim_cap)
+        if depth > last:
+            assert seq.truncated_at == last + 1
+            assert seq.n_max == seq.truncated_at - 1
+        else:
+            assert seq.truncated_at is None
+            assert seq.n_max == depth
+        # The word objects read word_cap alone.
+        last_word = last_depth(k, word_cap)
+        if last_word >= 1:
+            assert el.refine_afl(system, part, last_word, word_cap=word_cap).n_words == k**last_word
+            assert el.sample_words(system, part, last_word, 5, 0, word_cap=word_cap).sum() == 5
+        with pytest.raises(CapExceededError):
+            el.refine_afl(system, part, last_word + 1, word_cap=word_cap)
+        with pytest.raises(CapExceededError):
+            el.sample_words(system, part, last_word + 1, 5, 0, word_cap=word_cap)
+
+
+@st.composite
+def sharp_chains(draw):
+    """A chain, a sharp partition of it and a depth with k^depth at most 256."""
+    n = draw(st.integers(1, 4))
+    part = draw(partitions(n, kinds=("sharp", "one")))
+    return draw(systems(n)), part, draw(depths(part.n_outcomes, 256, ("inner", "last")))
 
 
 class TestSharpAfl:
@@ -700,7 +676,7 @@ class TestSharpAfl:
         kow = el.entropy_sequence(doubly_stochastic, part, el.EntropyKind.KOW, 7)
         assert np.max(np.abs(afl.values - kow.values)) <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(sharp_chains())
     def test_afl_equals_kow_on_sharp_chains(self, case):
         system, part, depth = case
@@ -713,40 +689,17 @@ class TestSharpAfl:
 
 @st.composite
 def gram_cases(draw):
-    """A system, partition and depth covering the edge cases of the mak side.
+    """A chain on 2 to 4 states, a partition and a depth with k^depth at most 128.
 
-    Dynamics: dense, sparse irreducible, deterministic periodic, or a dense
-    chain with one state of tiny stationary mass.  Partitions: unsharp,
-    sharp or totally mixing, with k up to 5 so k > n occurs.  Depth keeps
-    the k^N x k^N state at most 128 wide.
+    Outcome counts reach 6, so k > n occurs.
     """
     n = draw(st.integers(2, 4))
-    k = draw(st.integers(2, 5))
-    depth = draw(st.integers(1, max(d for d in range(1, 5) if k**d <= 128)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    dynamics = draw(st.sampled_from(("dense", "sparse", "periodic", "tiny_mass")))
-    if dynamics == "periodic":
-        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
-    else:
-        transition = rng.dirichlet(np.ones(n), size=n)
-        if dynamics == "sparse":
-            keep = (rng.random((n, n)) < 0.5) | (np.roll(np.eye(n), 1, axis=1) > 0)
-            transition = np.where(keep, transition + 0.05, 0.0)
-        elif dynamics == "tiny_mass":
-            transition[1:, 0] = draw(st.floats(1e-9, 1e-6))
-        system = el.make_markov(n, transition / transition.sum(axis=1, keepdims=True))
-    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
-    if kind == "unsharp":
-        part = random_partition(rng, n, k)
-    elif kind == "sharp":
-        part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
-    else:
-        part = el.uniform_unsharp(n, k)
-    return system, part, depth
+    part = draw(partitions(n))
+    return draw(systems(n)), part, draw(depths(part.n_outcomes, 128, ("inner", "last")))
 
 
 class TestMakStateSide:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(gram_cases())
     def test_mak_state_side_matches_gram_state(self, case):
         system, part, depth = case
@@ -758,7 +711,7 @@ class TestMakStateSide:
         seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, depth)
         assert abs(seq.values[-1] - full) <= 1e-12
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(gram_cases())
     def test_afl_and_mak_states_are_exactly_symmetric(self, case):
         # Both states are returned as built, so symmetric_eigenvalues takes
@@ -819,7 +772,7 @@ class TestMakStateSide:
 
 
 class TestSequenceValues:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(gram_cases())
     def test_hud_and_kow_equal_their_public_functionals(self, case):
         system, part, depth = case
@@ -851,7 +804,7 @@ class TestRateEstimate:
         )
         assert est["depth"] == 8
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.sampled_from(list(el.EntropyKind)),
         st.lists(

@@ -291,7 +291,7 @@ class TestStochasticMatrix:
             as_stochastic_matrix([[0.5, 0.5], [0.9, 0.2]])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6))
 def test_shannon_bounds_property(raw):
     p = np.asarray(raw) / np.sum(raw)
@@ -299,7 +299,7 @@ def test_shannon_bounds_property(raw):
     assert -1e-12 <= s <= math.log(len(raw)) + 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=5),
     st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=5),
@@ -311,7 +311,7 @@ def test_relative_entropy_nonnegative_property(raw_p, raw_q):
     assert kl(p, q) >= -1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.floats(-CLAMP_TOL, 1.0 + CLAMP_TOL), min_size=1, max_size=8))
 def test_unchecked_eta_equals_eta_on_accepted_input(raw):
     band = [-CLAMP_TOL, -5e-13, -0.0, 5e-324, 1.0 - 1e-16, 1.0 + 5e-13, 1.0 + CLAMP_TOL]
@@ -326,7 +326,7 @@ _DIAGONAL_ENTRY = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(1e-100, 1.0), st.lists(_DIAGONAL_ENTRY, max_size=40), st.randoms())
 def test_diagonal_spectrum_equals_lapack_exactly(anchor, entries, random):
     # Zeros, signed zeros, ties and the -EIG_FLOOR band, up to 41 entries so

@@ -239,7 +239,7 @@ class TestMonotonicityInDepth:
             assert np.all(seq.increments <= math.log(k) + 1e-9)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=4),
     st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=4),

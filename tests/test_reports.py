@@ -28,7 +28,7 @@ JSON_VALUES = st.recursive(
 
 
 class TestJsonRenderer:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(JSON_VALUES)
     @example({"é\x00\n\t \U0001f600": ["ü\x1f\x7f", '"\\/', "\r"], "\x01": {"ß": "ÿ"}})
     @example([-0.0, 5e-324, 1e308, -1e308, 2**64 + 1, -(2**70), True, False, None])

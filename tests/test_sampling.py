@@ -21,6 +21,7 @@ from entropy_lab._errors import CapExceededError, ValidationError
 
 from conftest import fixture_path, random_system, random_partition
 from oracles import path_word_distribution, sample_words_by_groups, sample_words_rowwise
+from strategies import partitions, systems
 
 
 class TestSampleWords:
@@ -103,49 +104,16 @@ class TestFrozenStream:
 
 @st.composite
 def sampling_cases(draw):
-    """A chain, a partition, a depth and a sample count.
+    """A chain on 2 to 6 states, a partition, a depth up to 4, a sample count and a seed.
 
     The sample count is 1 or lies below, at or above n * k^depth, the most
     (state, word) groups there can be.
-
-    Dynamics: dense, sparse (an n-cycle plus small noise on some entries),
-    deterministic (a pure permutation), periodic (period 2, moving between
-    two halves of the states), or dense with one state of tiny stationary
-    mass.  Partitions: unsharp with exact zeros in rows, sharp, or totally
-    mixing.
     """
     n = draw(st.integers(2, 6))
-    k = draw(st.integers(2, 6))
+    system, part = draw(systems(n)), draw(partitions(n))
     depth = draw(st.integers(1, 4))
-    groups = n * k**depth
+    groups = n * part.n_outcomes**depth
     n_samples = draw(st.sampled_from((1, groups // 3 + 1, groups, 40 * groups)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    dynamics = draw(st.sampled_from(("dense", "sparse", "deterministic", "periodic", "tiny_mass")))
-    if dynamics == "deterministic":
-        system = el.make_deterministic(rng.permutation(n), np.full(n, 1.0 / n))
-    else:
-        transition = rng.dirichlet(np.ones(n), size=n)
-        if dynamics == "sparse":
-            order = rng.permutation(n)
-            cycle = np.zeros((n, n))
-            cycle[order, np.roll(order, 1)] = 1.0
-            transition = cycle + np.where(rng.random((n, n)) < 0.3, 0.01 * transition, 0.0)
-        elif dynamics == "periodic":
-            half = rng.permutation(n) < n // 2
-            transition = np.where(half[:, None] != half[None, :], transition + 0.01, 0.0)
-        elif dynamics == "tiny_mass":
-            transition[1:, 0] = draw(st.floats(1e-9, 1e-6))
-        system = el.make_markov(n, transition / transition.sum(axis=1, keepdims=True))
-    kind = draw(st.sampled_from(("unsharp", "sharp", "mixing")))
-    if kind == "unsharp":
-        response = rng.dirichlet(np.ones(k), size=n)
-        response[rng.random((n, k)) < 0.3] = 0.0
-        response[np.arange(n), rng.integers(0, k, size=n)] += 0.1
-        part = el.PartitionOfUnity(response / response.sum(axis=1, keepdims=True))
-    elif kind == "sharp":
-        part = el.PartitionOfUnity(np.eye(k)[rng.integers(0, k, size=n)])
-    else:
-        part = el.uniform_unsharp(n, k)
     return system, part, depth, n_samples, draw(st.integers(0, 2**32))
 
 
@@ -156,7 +124,7 @@ def sparse_case(n: int, k: int, depth: int, n_samples: int):
 
 
 class TestAgainstGroupOracle:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(sampling_cases())
     # The merge array has n * k^(depth-1) entries, most of them never occupied.
     @example(sparse_case(3, 2, 8, 50))

@@ -43,6 +43,27 @@ class TestStationaryMeasure:
         with pytest.raises(ValidationError, match="reducible"):
             el.stationary_measure(np.eye(2))
 
+    def test_transient_state_raises_as_reducible(self):
+        # State 0 leaves and never returns: its solved mass is exactly 0.
+        with pytest.raises(ValidationError, match="reducible"):
+            el.stationary_measure([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("t", [1e-13, 1e-15])
+    def test_tiny_stationary_mass_is_kept_as_solved(self, t):
+        # Irreducible, with mu_0 = t / (1 + t): far below 1e-12, still resolved.
+        mu = el.stationary_measure([[0.0, 1.0], [t, 1.0 - t]])
+        assert mu[0] == pytest.approx(t / (1.0 + t), rel=1e-6)
+        system = el.make_markov(2, [[0.0, 1.0], [t, 1.0 - t]])
+        assert np.array_equal(system.stationary, mu)
+
+    def test_mass_below_the_solve_resolution_asks_for_the_measure(self):
+        # mu_0 is about 6e-17: the solve returns an entry at or below 0.
+        p = [[0.1, 0.0, 0.9], [5e-17, 0.1, 0.9], [5e-17, 0.5, 0.5]]
+        for build in (el.stationary_measure, lambda m: el.make_markov(3, m)):
+            with pytest.raises(ValidationError, match="below what the solve resolves") as info:
+                build(p)
+            assert "reducible" not in str(info.value)
+
     def test_invariance_residual(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -18,6 +18,8 @@ from entropy_lab import ValidationError
 from entropy_lab.decompositions import Decomposition, _checked_stack
 from entropy_lab.entropy import CLAMP_TOL, as_prob_vector
 
+from strategies import systems
+
 NEAR_ZERO = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12]) | st.floats(
     -2e-12, 2e-12
 )
@@ -64,13 +66,13 @@ def accepted(build, *args) -> bool:
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(2, 4).flatmap(lambda n: edge_rows(n, n, cycle=True)))
 def test_make_markov_accepts_exactly_valid_rows(m):
     assert accepted(el.make_markov, m.shape[0], m) == rows_pass(m)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda s: edge_rows(*s))
 )
@@ -79,7 +81,7 @@ def test_partition_of_unity_adds_only_its_upper_bound(m):
     assert accepted(el.PartitionOfUnity, m) == (rows_pass(m) and in_range)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.tuples(st.integers(1, 4), st.integers(2, 3), st.integers(1, 2)).flatmap(
         lambda s: st.tuples(st.just(s), edge_rows(s[0], s[1] ** s[2]))
@@ -90,24 +92,21 @@ def test_refined_partition_accepts_exactly_valid_rows(args):
     assert accepted(el.RefinedPartition, k, depth, m) == rows_pass(m)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.tuples(st.integers(2, 4), st.integers(2, 3)).flatmap(
-        lambda s: st.tuples(edge_rows(s[0], s[1]), st.integers(1, 4), st.integers(0, 2**31))
+        lambda s: st.tuples(edge_rows(s[0], s[1]), systems(s[0]), st.integers(1, 4))
     )
 )
 def test_refine_afl_of_an_accepted_partition_is_accepted(args):
-    m, depth, seed = args
+    m, system, depth = args
     if not accepted(el.PartitionOfUnity, m):
         return
-    rng = np.random.default_rng(seed)
-    n = m.shape[0]
-    system = el.make_markov(n, rng.dirichlet(np.ones(n), size=n))
     refined = el.refine_afl(system, el.PartitionOfUnity(m), depth)
     assert rows_pass(refined.elements)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda s: edge_rows(*s))
 )
@@ -126,7 +125,7 @@ def decomposition_stacks(draw):
     return weights, components, sizes
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(decomposition_stacks())
 def test_checked_stack_accepts_exactly_what_each_decomposition_accepts(stack):
     weights, components, sizes = stack
