@@ -6,13 +6,14 @@ eigensolver is a hand-rolled cyclic Jacobi instead of LAPACK, refinements
 and operational states are assembled by explicit enumeration of state
 paths, the Markov block entropy uses its closed form, and word sampling
 either gathers whole cumulative rows for every sample or splits sample
-groups in a plain loop.  The decomposition functional is summed by loops
-over the weight tensor, and ``cnt_search`` is rebuilt one candidate at a
-time through the public ``Decomposition`` and ``cnt_functional``.  One
-reference shares the library's kernel on purpose: ``index_information``
-evaluates a single decomposition index alone, so that the fused
-``cnt_functional`` can be required to equal it float for float.  Set
-partitions are listed by filtering every string in ``itertools.product``.
+groups in a plain loop, the last symbol over ``transition @ response``.
+The decomposition functional is summed by loops over the weight tensor,
+and ``cnt_search`` is rebuilt one candidate at a time through the public
+``Decomposition`` and ``cnt_functional``.  One reference shares the
+library's kernel on purpose: ``index_information`` evaluates a single
+decomposition index alone, so that the fused ``cnt_functional`` can be
+required to equal it float for float.  Set partitions are listed by
+filtering every string in ``itertools.product``.
 """
 
 from __future__ import annotations
@@ -332,8 +333,12 @@ def sample_words_by_groups(transition, stationary, response, depth: int, n_sampl
 
     Draws the multinomials of ``sampling.sample_words`` in the same order,
     from one generator seeded with ``SeedSequence(seed)``: the start counts
-    over the stationary measure, then per time one split of each group over
-    its response row and, between times, one over its transition row.
+    over the stationary measure, then per time but the last one split of
+    each group over its response row and, between those times, one over its
+    transition row.  At the last time each group splits once over its row
+    of ``transition @ response`` (rows normalized to sum to 1), the law of
+    the last symbol given the state before the last transition; at depth 1
+    there is no transition, and the one split is over the response row.
     Groups are kept in a dict keyed by (state, code) and visited in sorted
     order; groups that land on the same key after a transition are merged.
     """
@@ -341,16 +346,21 @@ def sample_words_by_groups(transition, stationary, response, depth: int, n_sampl
     response = np.asarray(response, dtype=float)
     k = response.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    # Rows normalized as PartitionOfUnity does: numpy's binomial draws with
+    # 1 - p once p > 0.5, so a row off by an ulp would draw other counts.
+    evolved = transition @ response
+    evolved /= evolved.sum(axis=1, keepdims=True)
     start = rng.multinomial(n_samples, stationary)
     groups = {(x, 0): int(size) for x, size in enumerate(start) if size > 0}
     for step in range(depth):
+        rows = response if step < depth - 1 or depth == 1 else evolved
         split = {}
         for (x, code), size in sorted(groups.items()):
-            for a, part in enumerate(rng.multinomial(size, response[x])):
+            for a, part in enumerate(rng.multinomial(size, rows[x])):
                 if part > 0:
                     split[(x, code * k + a)] = int(part)
         groups = split
-        if step < depth - 1:
+        if step < depth - 2:
             moved = {}
             for (x, code), size in sorted(groups.items()):
                 for y, part in enumerate(rng.multinomial(size, transition[x])):

@@ -89,17 +89,25 @@ class TestSampleWords:
 
 
 class TestFrozenStream:
-    """Counts pinned to the draw order of ``sample_words`` for a given seed."""
+    """Counts pinned to the draw order of ``sample_words`` for a given seed.
+
+    From depth 2 on the last symbol is drawn from the evolved response.
+    Depth 1 has no transition to fuse, so its draws must not move.
+    """
 
     def test_unsharp_two_state_chain(self, two_state_chain, blur_partition):
         counts = sample_words(two_state_chain, blur_partition, 3, 65543, 7)
-        assert counts.tolist() == [20811, 8177, 7349, 5150, 8054, 4538, 5447, 6017]
+        assert counts.tolist() == [20897, 8091, 7308, 5191, 8035, 4557, 5306, 6158]
 
     def test_sharp_split_of_the_doubly_stochastic_chain(self):
         system = el.load_system(fixture_path("systems", "three_state_doubly.json"))
         part = el.load_partition(fixture_path("partitions", "three_split.json"), system)
         counts = sample_words(system, part, 2, 65543, 7)
-        assert counts.tolist() == [26169, 17409, 17495, 4470]
+        assert counts.tolist() == [26120, 17458, 17557, 4408]
+
+    def test_depth_one_draws_unchanged(self, two_state_chain, blur_partition):
+        counts = sample_words(two_state_chain, blur_partition, 1, 65543, 7)
+        assert counts.tolist() == [41487, 24056]
 
 
 @st.composite
@@ -117,8 +125,8 @@ def sampling_cases(draw):
     return system, part, depth, n_samples, draw(st.integers(0, 2**32))
 
 
-def sparse_case(n: int, k: int, depth: int, n_samples: int):
-    """A dense chain and unsharp partition where n * k^depth far exceeds the sample count."""
+def chain_case(n: int, k: int, depth: int, n_samples: int):
+    """A dense chain on n states and an unsharp partition with k outcomes."""
     rng = np.random.default_rng(n * 100 + k)
     return random_system(rng, n), random_partition(rng, n, k), depth, n_samples, 3
 
@@ -126,9 +134,12 @@ def sparse_case(n: int, k: int, depth: int, n_samples: int):
 class TestAgainstGroupOracle:
     @settings(max_examples=60)
     @given(sampling_cases())
-    # The merge array has n * k^(depth-1) entries, most of them never occupied.
-    @example(sparse_case(3, 2, 8, 50))
-    @example(sparse_case(6, 6, 5, 200))
+    # n * k^depth far exceeds the sample count: most merge entries are never occupied.
+    @example(chain_case(3, 2, 8, 50))
+    @example(chain_case(6, 6, 5, 200))
+    # Depth 1 has no fused step; depth 2 has the fused step and no merge.
+    @example(chain_case(4, 3, 1, 5000))
+    @example(chain_case(4, 3, 2, 5000))
     def test_counts_equal_the_per_group_loop(self, case):
         system, part, depth, n_samples, seed = case
         counts = sample_words(system, part, depth, n_samples, seed)
@@ -224,3 +235,15 @@ class TestAgreementWithAnalyticLaw:
         for counts in (grouped, rowwise):
             assert counts.sum() == n_samples
             assert tv_distance(empirical_distribution(counts), analytic) <= bound
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(systems(n), partitions(n))),
+           st.integers(2, 4), st.integers(0, 2**32))
+    def test_zoo_within_bound_of_the_path_law(self, pair, depth, seed):
+        system, part = pair
+        n_samples = 20000
+        counts = sample_words(system, part, depth, n_samples, seed)
+        exact = path_word_distribution(system, part.response, depth)
+        assert counts.sum() == n_samples
+        bound = tv_bound(part.n_outcomes**depth, n_samples)
+        assert tv_distance(empirical_distribution(counts), exact) <= bound
