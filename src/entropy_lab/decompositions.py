@@ -15,11 +15,25 @@ decomposition functional in one fused pass, each marginal's information
 through ``_information``.  Pruning is the policy of the marginals: they
 drop indices of weight below ``PRUNE_TOL``, which add nothing to any
 entropy (eta is continuous at 0) and would force divisions by ~0.
+
+Marginals repeat across an identification scan.  The time-0 marginal of the
+decomposition of a map pair (a, b) is induced by a alone and the time-1
+marginal by b alone, so the n^(2n) pairs meet about n^n distinct marginals
+per time (27 against 729 pairs at n = 3).  While ``dynamical.cnt_search``
+scans that family it opens a memo in ``_MARGINALS``, keyed by the bytes of
+every input of ``_information``: the marginal weights, the marginal outcome
+rows with their outcome count, and the base law mu @ matrix.  A distinct
+marginal then goes through both information forms and their cross-check
+once, and every repeat gets the float the same bytes gave.  Weight sums of
+a map's marginal can differ by an ulp with the other map, so a few more keys
+than 2 n^n occur; the memo stores at most 2 n^n + 2 and computes the rest
+unstored.  Random trials and direct ``cnt_functional`` calls run unmemoized.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +49,9 @@ from .entropy import (
 )
 
 PRUNE_TOL = 1e-15
+# (entries, capacity) of the marginal memo while ``dynamical.cnt_search`` scans its
+# identification family, else None; see ``_marginal_information``.
+_MARGINALS: ContextVar[tuple[dict, int] | None] = ContextVar("marginals", default=None)
 
 __all__ = [
     "PRUNE_TOL",
@@ -220,19 +237,24 @@ def entropy_defect(decomposition: Decomposition) -> float:
     return _defect([_eta(sums) for sums in _axis_sums(w, decomposition.index_sizes)], _eta(w))
 
 
-def _information(
-    weights: np.ndarray,
-    base: np.ndarray,
-    outcome_rows: np.ndarray,
-    base_etas: np.ndarray,
-    row_etas: np.ndarray,
-) -> float:
+def _etas(pieces: list[np.ndarray]) -> list[np.ndarray]:
+    """``_eta`` of each piece from one elementwise call, each returned in its own shape."""
+    flat = _eta(np.concatenate(pieces, axis=None))
+    etas, start = [], 0
+    for piece in pieces:
+        etas.append(flat[start : start + piece.size].reshape(piece.shape))
+        start += piece.size
+    return etas
+
+
+def _information(weights: np.ndarray, base: np.ndarray, outcome_rows: np.ndarray) -> float:
     """Information an index carries about an outcome, on arrays the caller checked.
 
     Returns the difference form S(mu o f) - sum_a w_a S(mu_a o f) once the relative form
     sum_a w_a S(mu_a o f | mu o f) agrees within ``MI_FORM_TOL``, and raises otherwise.
-    ``base`` is mu o f, ``outcome_rows`` each component's outcome law, the etas their ``_eta``.
+    ``base`` is mu o f and ``outcome_rows`` each component's outcome law.
     """
+    base_etas, row_etas = _etas([base, outcome_rows])
     difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
     if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
         present = weights > 0.0
@@ -246,6 +268,25 @@ def _information(
     return difference_form
 
 
+def _marginal_information(memo, weights: np.ndarray, base: np.ndarray, rows: np.ndarray) -> float:
+    """``_information`` of one marginal, looked up in and stored to ``memo`` unless it is None.
+
+    ``memo`` is the (entries, capacity) pair of ``_MARGINALS``.  The key holds every input
+    as bytes, so a hit is the float the same computation gave on the same bytes; once
+    ``capacity`` entries are stored, a miss is computed and not kept.  A raise is not stored.
+    """
+    if memo is None:
+        return _information(weights, base, rows)
+    entries, capacity = memo
+    key = (weights.tobytes(), rows.tobytes(), rows.shape[1], base.tobytes())
+    information = entries.get(key)
+    if information is None:
+        information = _information(weights, base, rows)
+        if len(entries) < capacity:
+            entries[key] = information
+    return information
+
+
 def _cnt_value(
     muv: np.ndarray,
     weights: np.ndarray,
@@ -255,25 +296,18 @@ def _cnt_value(
 ) -> float:
     """``cnt_functional`` of checked arrays in one pass.
 
-    The marginals share one weighted product (``_marginals``), and one
-    ``_eta`` call covers every entropy argument: each axis' base law and
-    marginal outcome rows, each axis' weight sums and the joint weights.
-    Only this elementwise work is fused: every sum reduces a view of the
-    shape a separate ``_eta`` call would return, so each entropy is the
-    same float as when evaluated alone.
+    The marginals share one weighted product (``_marginals``).  Each marginal's
+    information comes from ``_marginal_information``, through the memo that
+    ``_MARGINALS`` holds inside an identification scan, and the defect from one
+    ``_eta`` call over each axis' weight sums and the joint weights.  ``_eta`` is
+    elementwise and every sum reduces a view of the shape a separate ``_eta`` call
+    would return, so each entropy is the same float as when evaluated alone.
     """
     axis_sums = _axis_sums(weights, sizes)
     marginals = _marginals(weights, components, sizes, axis_sums)
-    bases = [muv @ matrix for matrix in matrices]
-    rows = [marg_c @ matrix for (_, marg_c), matrix in zip(marginals, matrices)]
-    pieces = [*bases, *rows, *axis_sums, weights]
-    flat = _eta(np.concatenate(pieces, axis=None))
-    etas, start = [], 0
-    for piece in pieces:
-        etas.append(flat[start : start + piece.size].reshape(piece.shape))
-        start += piece.size
-    arity = len(sizes)
+    memo = _MARGINALS.get()
     total = 0.0
-    for axis, (marg_w, _) in enumerate(marginals):
-        total += _information(marg_w, bases[axis], rows[axis], etas[axis], etas[arity + axis])
-    return total - _defect(etas[2 * arity : 3 * arity], etas[-1])
+    for (marg_w, marg_c), matrix in zip(marginals, matrices):
+        total += _marginal_information(memo, marg_w, muv @ matrix, marg_c @ matrix)
+    *sum_etas, weight_etas = _etas([*axis_sums, weights])
+    return total - _defect(sum_etas, weight_etas)

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import CapExceededError, InequalityViolationError, ValidationError
-from .decompositions import Decomposition, _cnt_value, _induced_stack, trivial_decomposition
+from .decompositions import (
+    _MARGINALS,
+    Decomposition,
+    _cnt_value,
+    _induced_stack,
+    trivial_decomposition,
+)
 from .entropy import MI_FORM_TOL, _eta, as_prob_vector, von_neumann_entropy
 from .partitions import (
     DEFAULT_WORD_CAP,
@@ -168,6 +174,13 @@ def cnt_search(
     ``SCAN_CHUNK`` decompositions, each built as one stack and validated
     once.  Every candidate gets one ``cnt_functional`` call, and a later
     candidate replaces the witness only when its value is strictly larger.
+    A map pair's time-0 marginal depends on its first map alone and its
+    time-1 marginal on its second, so over the identification family each
+    distinct marginal's checked information is computed once and reused from
+    a memo keyed by the bytes of its inputs (see ``decompositions``).  The
+    memo holds at most 2 n^n + 2 entries, whatever the budget: random trials,
+    continuous draws that never repeat, run without it.  It is dropped when
+    the search returns or raises, and a raise is never stored.
     No decomposition's value exceeds the information I(X; f, g) that both
     outcomes carry together, hud_functional(mu, join(f, g)); a best value
     above it by more than ``MI_FORM_TOL`` raises InequalityViolationError.
@@ -184,25 +197,30 @@ def cnt_search(
             raise ValidationError("partition does not match the system's state count")
     mu = system.stationary
     n = system.n_states
-
-    best_witness = trivial_decomposition(mu, 2)
-    best_value = cnt_functional(mu, best_witness, parts)
-    best_label = "trivial"
-
     map_count = n ** (2 * n)
     if map_count > cap:
         raise CapExceededError(
             f"identification enumeration would visit {map_count} map tuples, cap is {cap}"
         )
+
+    best_witness = trivial_decomposition(mu, 2)
+    best_value = cnt_functional(mu, best_witness, parts)
+    best_label = "trivial"
+
+    memo = ({}, 2 * n**n + 2)  # the identification family's marginals, dropped on return
     negative = 0
     for family, keys, decompositions in _candidates(mu, n, budget, seed):
-        counts_negative = family == "identification"
-        for key, dec in zip(keys, decompositions):
-            value = cnt_functional(mu, dec, parts)
-            if counts_negative and value < -MI_FORM_TOL:
-                negative += 1
-            if value > best_value:
-                best_value, best_witness, best_label = value, dec, f"{family}:{key}"
+        identification = family == "identification"
+        scope = _MARGINALS.set(memo if identification else None)
+        try:
+            for key, dec in zip(keys, decompositions):
+                value = cnt_functional(mu, dec, parts)
+                if identification and value < -MI_FORM_TOL:
+                    negative += 1
+                if value > best_value:
+                    best_value, best_witness, best_label = value, dec, f"{family}:{key}"
+        finally:
+            _MARGINALS.reset(scope)
 
     bound = hud_functional(mu, join(*parts))
     if best_value > bound + MI_FORM_TOL:

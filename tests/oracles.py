@@ -25,7 +25,7 @@ import numpy as np
 
 from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
 from entropy_lab.decompositions import _information
-from entropy_lab.entropy import MI_FORM_TOL, _eta
+from entropy_lab.entropy import MI_FORM_TOL
 from entropy_lab.partitions import _response_of
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -204,7 +204,7 @@ def index_information(mu, decomposition: Decomposition, f) -> float:
     matrix = _response_of(f, muv.shape[0])
     base = muv @ matrix
     outcome_rows = decomposition.components @ matrix
-    return _information(decomposition.weights, base, outcome_rows, _eta(base), _eta(outcome_rows))
+    return _information(decomposition.weights, base, outcome_rows)
 
 
 def cnt_value(mu, weights, components, sizes, matrices) -> float:

@@ -251,6 +251,22 @@ class TestCnt:
         )
         assert len(calls) == 1 + 2 ** 4 + 2
 
+    def test_cap_exits_3_before_any_evaluation(self, monkeypatch):
+        real, calls = dynamical.cnt_functional, []
+
+        def counted(mu, decomposition, partitions):
+            calls.append(decomposition)
+            return real(mu, decomposition, partitions)
+
+        monkeypatch.setattr(dynamical, "cnt_functional", counted)
+        code, out, err = run(
+            "cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: identification enumeration would visit 16 map tuples, cap is 1\n"
+        assert calls == []
+
 
 class TestSample:
     def test_within_bound(self):

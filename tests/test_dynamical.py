@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
-from entropy_lab import CapExceededError, InequalityViolationError, ValidationError, dynamical
+from entropy_lab import (
+    CapExceededError,
+    InequalityViolationError,
+    ValidationError,
+    decompositions,
+    dynamical,
+)
 from entropy_lab.cli import _estimate_doc
 from entropy_lab.decompositions import PRUNE_TOL, Decomposition, _identification_decomposition
 from entropy_lab.dynamical import DEFAULT_DIM_CAP, _mak_state_side, iter_set_partitions
@@ -455,6 +461,127 @@ class TestCntSearch:
         result = el.cnt_search(two_state_chain, coin_extremal, budget=0, seed=0)
         assert result.random_trials == 0
         assert result.best_value >= -1e-12
+
+
+def _recorded_search(system, f, g, budget, seed, chunk=dynamical.SCAN_CHUNK):
+    """Run ``cnt_search`` and record, per ``cnt_functional`` call, its arguments, its value
+    and the memo open at the time (None outside the identification scan)."""
+    real, calls = dynamical.cnt_functional, []
+
+    def recorded(mu, decomposition, partitions):
+        value = real(mu, decomposition, partitions)
+        calls.append((decomposition, list(partitions), value, decompositions._MARGINALS.get()))
+        return value
+
+    with (
+        mock.patch.object(dynamical, "cnt_functional", recorded),
+        mock.patch.object(dynamical, "SCAN_CHUNK", chunk),
+    ):
+        result = el.cnt_search(system, f, g, budget=budget, seed=seed)
+    return result, calls
+
+
+class TestMarginalMemo:
+    """The identification scan computes each distinct marginal's information once."""
+
+    @settings(max_examples=30)
+    @given(scan_cases())
+    def test_scan_values_equal_fresh_calls_bit_for_bit(self, case):
+        system, f, g, budget, seed, chunk = case
+        _, calls = _recorded_search(system, f, g, budget, seed, chunk)
+        n = system.n_states
+        assert len(calls) == 1 + n ** (2 * n) + budget
+        assert decompositions._MARGINALS.get() is None
+        for decomposition, parts, value, _ in calls:
+            fresh = el.cnt_functional(system.stationary, decomposition, parts)
+            assert fresh.hex() == value.hex()
+
+    @settings(max_examples=30)
+    @given(scan_cases().filter(lambda case: case[3] > 0))
+    def test_memo_spans_the_identifications_and_stays_bounded(self, case):
+        """Open for every identification, closed for the trivial decomposition and every
+        random trial, and never above 2 n^n + 2 entries, whatever the budget."""
+        system, f, g, budget, seed, chunk = case
+        _, calls = _recorded_search(system, f, g, budget, seed, chunk)
+        n = system.n_states
+        memos = [memo for *_, memo in calls]
+        assert memos[0] is None and memos[1 + n ** (2 * n) :] == [None] * budget
+        scan = memos[1 : 1 + n ** (2 * n)]
+        assert all(memo is scan[0] for memo in scan)
+        entries, capacity = scan[0]
+        assert capacity == 2 * n**n + 2
+        assert 1 <= len(entries) <= capacity
+
+    def test_each_stored_marginal_is_computed_once(self, doubly_stochastic):
+        real, misses = decompositions._information, []
+
+        def counted(*args):
+            misses.append(decompositions._MARGINALS.get() is not None)
+            return real(*args)
+
+        part = el.sharp_partition([[0, 1], [2]], 3)
+        with mock.patch.object(decompositions, "_information", counted):
+            _, calls = _recorded_search(doubly_stochastic, part, None, budget=5, seed=3)
+        entries, capacity = calls[1][3]
+        assert len(entries) < capacity
+        assert sum(misses) == len(entries) < 2 * 3**6
+        assert len(misses) - sum(misses) == 2 * (1 + 5)
+
+    def test_a_full_memo_computes_a_miss_without_storing_it(self):
+        base = np.array([0.5, 0.5])
+        weights = np.array([0.5, 0.5])
+        rows = [np.array([[0.2, 0.8], [0.8, 0.2]]), np.array([[0.4, 0.6], [0.6, 0.4]])]
+        memo = ({}, 1)
+        values = [decompositions._marginal_information(memo, weights, base, r) for r in rows]
+        assert len(memo[0]) == 1
+        again = decompositions._marginal_information(memo, weights, base, rows[1])
+        assert len(memo[0]) == 1
+        for r, value in zip(rows, values):
+            assert decompositions._information(weights, base, r).hex() == value.hex()
+        assert again.hex() == values[1].hex()
+
+    def test_memo_closed_after_a_cap(self, doubly_stochastic):
+        part = el.sharp_partition([[0, 1], [2]], 3)
+        with mock.patch.object(dynamical, "cnt_functional") as evaluate:
+            with pytest.raises(CapExceededError):
+                el.cnt_search(doubly_stochastic, part, budget=0, seed=0, cap=728)
+        evaluate.assert_not_called()
+        assert decompositions._MARGINALS.get() is None
+
+    def test_memo_closed_after_a_raise_mid_scan(self, doubly_stochastic):
+        real, calls = dynamical.cnt_functional, []
+
+        def fails_at_the_hundredth(mu, decomposition, partitions):
+            calls.append(decompositions._MARGINALS.get())
+            if len(calls) == 100:
+                raise InequalityViolationError("forced")
+            return real(mu, decomposition, partitions)
+
+        part = el.sharp_partition([[0, 1], [2]], 3)
+        with mock.patch.object(dynamical, "cnt_functional", fails_at_the_hundredth):
+            with pytest.raises(InequalityViolationError, match="forced"):
+                el.cnt_search(doubly_stochastic, part, budget=4, seed=0)
+        assert calls[-1] is not None and calls[-1][0]
+        assert decompositions._MARGINALS.get() is None
+
+    def test_form_disagreement_on_a_miss_raises_inside_the_scan(self, doubly_stochastic):
+        """A miss after the memo holds entries still runs the two-form cross-check."""
+        real, skewed = decompositions.relative_entropy_rows, []
+
+        def skew_once_stored(rows, q):
+            values = real(rows, q)
+            memo = decompositions._MARGINALS.get()
+            if memo is not None and len(memo[0]) >= 5:
+                skewed.append(len(memo[0]))
+                return values + 1e-6
+            return values
+
+        part = el.sharp_partition([[0, 1], [2]], 3)
+        with mock.patch.object(decompositions, "relative_entropy_rows", skew_once_stored):
+            with pytest.raises(InequalityViolationError, match="forms disagree"):
+                el.cnt_search(doubly_stochastic, part, budget=0, seed=0)
+        assert skewed == [5]
+        assert decompositions._MARGINALS.get() is None
 
 
 class TestRhoAfl:
