@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -69,17 +68,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to exit code 1
         raise _UsageError(message)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("ENTROPY_LAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise _UsageError(f"ENTROPY_LAB_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 @functools.cache
@@ -177,7 +165,7 @@ def _load_partitions(args, system):
 
 # Keys of the JSON config block, in order; a command echoes the ones it has set.
 _CONFIG_KEYS = (
-    "threads", "word_cap", "dim_cap", "units", "system", "partitions",
+    "word_cap", "dim_cap", "units", "system", "partitions",
     "kind", "nmax", "budget", "seed", "depth", "samples", "cell_budget", "cap",
 )
 
@@ -447,7 +435,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.threads = _threads_from_env()
         system = load_system(args.system)
         parts = _load_partitions(args, system)
         report, code = _COMMANDS[args.command](args, system, parts)

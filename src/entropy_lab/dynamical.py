@@ -39,6 +39,7 @@ from .partitions import (
     PartitionOfUnity,
     RefinedPartition,
     _check_refine_args,
+    _power_text,
     _response_of,
     evolve,
     join,
@@ -198,9 +199,10 @@ def cnt_search(
     mu = system.stationary
     n = system.n_states
     map_count = n ** (2 * n)
-    if map_count > cap:
+    if map_count > cap:  # n >= 2 here, since a one-state system has one map tuple
         raise CapExceededError(
-            f"identification enumeration would visit {map_count} map tuples, cap is {cap}"
+            f"identification enumeration would visit {_power_text(n, 2 * n)} map tuples, "
+            f"cap is {cap}"
         )
 
     best_witness = trivial_decomposition(mu, 2)
@@ -443,7 +445,8 @@ def sup_over_sharp(
     Exhaustive over set partitions (feasible up to 8 states; 4140
     candidates at 8).  ``cell_budget``, when given, is the most cells a
     candidate may have, and must be at least 1.  A candidate whose sequence
-    stops before depth 2 has no increment and is skipped.  The winner has
+    stops before depth 2 has no increment and is skipped; when every one is,
+    a cap stopped them all and CapExceededError is raised.  The winner has
     the largest last increment; ties within 1e-12 go to the
     lexicographically smallest canonical cell list, so results are
     reproducible.
@@ -474,5 +477,9 @@ def sup_over_sharp(
         ):
             best = (cells, sequence, rate)
     if best is None:
-        raise ValidationError("no sharp partition produced a rateable sequence")
+        # n_max >= 2, so only a cap stops a sequence before depth 2.
+        raise CapExceededError(
+            f"every sharp partition's sequence stopped before depth 2 "
+            f"(word_cap {word_cap}, dim_cap {dim_cap})"
+        )
     return SupResult(best[0], best[1], candidates)

@@ -193,6 +193,14 @@ def word_label(f: PartitionOfUnity, word) -> str:
     return ".".join(f.labels[int(k)] for k in word)
 
 
+def _power_text(base: int, exponent: int) -> int | str:
+    """``base**exponent`` for a message, or ``"base^exponent"`` past the int-string limit.
+
+    Python prints at most 4 300 digits of an int by default.  ``base`` must be >= 2.
+    """
+    return base**exponent if exponent < 4300 / math.log10(base) else f"{base}^{exponent}"
+
+
 def _check_refine_args(
     system: StochasticSystem,
     f: PartitionOfUnity,
@@ -218,9 +226,7 @@ def _check_refine_args(
             f"depth {depth} is past {bound}, the deepest a {cap_name} of {cap} allows"
         )
     if depth > bound:  # k^N >= 2^N > cap
-        # Counts longer than Python's default 4 300-digit int-string limit print as k^N.
-        count = k**depth if depth < 4300 / math.log10(k) else f"{k}^{depth}"
-        raise CapExceededError(message.format(n=count, cap=cap))
+        raise CapExceededError(message.format(n=_power_text(k, depth), cap=cap))
     n_words = k**depth
     if n_words > cap:
         raise CapExceededError(message.format(n=n_words, cap=cap))

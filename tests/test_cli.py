@@ -33,11 +33,6 @@ H_CHAIN = 0.38352279010702806
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("ENTROPY_LAB_THREADS", raising=False)
-
-
 def run(*argv):
     # redirecting instead of capsys keeps these tests working under pytest -s
     out, err = io.StringIO(), io.StringIO()
@@ -63,7 +58,6 @@ class TestValidate:
         code, doc, _ = run_json("validate", "--system", CHAIN, "--partition", BLUR)
         assert code == 0
         assert doc["command"] == "validate"
-        assert doc["config"]["threads"] == 1
         assert doc["system"]["states"] == ["a", "b"]
         assert doc["partitions"][0]["labels"] == ["L", "R"]
         assert doc["partitions"][0]["sharp"] is False
@@ -267,6 +261,21 @@ class TestCnt:
         assert err == "error: identification enumeration would visit 16 map tuples, cap is 1\n"
         assert calls == []
 
+    @pytest.mark.parametrize("n, count", [(748, str(748**1496)), (760, "760^1520")])
+    def test_cap_past_the_int_string_limit_exits_3(self, tmp_path, n, count):
+        # A count longer than Python's 4 300-digit int-string limit prints as n^(2n).
+        system, part = tmp_path / "bernoulli.json", tmp_path / "uniform.json"
+        system.write_text(json.dumps({"bernoulli": [1 / n] * n}))
+        part.write_text(json.dumps({"uniform": 2}))
+        code, out, err = run("cnt", "--system", str(system), "--partition", str(part), "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == (
+            f"error: identification enumeration would visit {count} map tuples, "
+            f"cap is {dynamical.DEFAULT_ENUMERATION_CAP}\n"
+        )
+
 
 class TestSample:
     def test_within_bound(self):
@@ -315,6 +324,16 @@ class TestSup:
         code, doc, _ = run_json("sup", "--system", CYCLE, "--kind", "kow", "--nmax", "3")
         assert code == 0
         assert doc["estimate"]["last_increment"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, cap", [("kow", "--word-cap"), ("mak", "--dim-cap"), ("afl", "--dim-cap")]
+    )
+    def test_caps_that_stop_every_candidate_exit_3(self, kind, cap):
+        code, out, err = run("sup", "--system", DOUBLY, "--kind", kind, cap, "1", "--nmax", "3")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: every sharp partition's sequence stopped before depth 2 (")
 
 
 class TestReportCommand:
@@ -709,10 +728,10 @@ class TestMalformedInput:
 VALIDATE_ARGV = ("validate", "--system", CHAIN, "--partition", BLUR)
 CNT_ARGV = ("cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "1")
 SAMPLE_ARGV = ("sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "1")
-MEASURED = ["version", "threads", "word_cap", "dim_cap", "units", "system"]
+MEASURED = ["version", "word_cap", "dim_cap", "units", "system"]
 CONFIG_KEYS = {
-    "validate": (("validate", "--system", CHAIN), ["version", "threads", "system"]),
-    "validate-partition": (VALIDATE_ARGV, ["version", "threads", "system", "partitions"]),
+    "validate": (("validate", "--system", CHAIN), ["version", "system"]),
+    "validate-partition": (VALIDATE_ARGV, ["version", "system", "partitions"]),
     "rate": (
         ("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--nmax", "2"),
         [*MEASURED, "partitions", "kind", "nmax"],
@@ -723,11 +742,11 @@ CONFIG_KEYS = {
     ),
     "cnt": (
         CNT_ARGV,
-        ["version", "threads", "units", "system", "partitions", "budget", "seed", "cap"],
+        ["version", "units", "system", "partitions", "budget", "seed", "cap"],
     ),
     "sample": (
         SAMPLE_ARGV,
-        ["version", "threads", "word_cap", "system", "partitions", "seed", "depth", "samples"],
+        ["version", "word_cap", "system", "partitions", "seed", "depth", "samples"],
     ),
     "sup": (
         ("sup", "--system", CHAIN, "--kind", "hud", "--nmax", "2"),
@@ -768,6 +787,12 @@ class TestCommandSettings:
         code, doc, _ = run_json(*argv)
         assert code == 0
         assert list(doc["config"]) == keys
+
+    def test_every_config_key_is_a_flag(self):
+        # The config block echoes parsed settings only, never a value from elsewhere.
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+        assert set(cli._CONFIG_KEYS) <= dests
 
 
 # Each command's argv without --partition, and the counts it must refuse.
@@ -818,37 +843,6 @@ class TestPartitionCounts:
             helps = [a.help for a in sub._actions if a.dest == "partitions"]
             expected = [f"partition document (JSON); this command takes {count}"] if count else []
             assert helps == expected, name
-
-
-class TestThreadsEnv:
-    def test_value_echoed_in_config(self, monkeypatch):
-        monkeypatch.setenv("ENTROPY_LAB_THREADS", "3")
-        code, doc, _ = run_json("validate", "--system", CHAIN)
-        assert code == 0
-        assert doc["config"]["threads"] == 3
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("ENTROPY_LAB_THREADS", "abc")
-        code, _, err = run("validate", "--system", CHAIN)
-        assert code == 1
-        assert "ENTROPY_LAB_THREADS" in err
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv("ENTROPY_LAB_THREADS", "0")
-        code, _, err = run("validate", "--system", CHAIN)
-        assert code == 1
-        assert "ENTROPY_LAB_THREADS" in err
-
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        argv = (
-            "cnt", "--system", DOUBLY, "--partition", SPLIT,
-            "--seed", "3", "--budget", "10", "--format", "csv",
-        )
-        monkeypatch.setenv("ENTROPY_LAB_THREADS", "1")
-        _, one, _ = run(*argv)
-        monkeypatch.setenv("ENTROPY_LAB_THREADS", "4")
-        _, four, _ = run(*argv)
-        assert one == four
 
 
 class TestVersion:

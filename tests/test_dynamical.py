@@ -20,7 +20,13 @@ from entropy_lab import (
 )
 from entropy_lab.cli import _estimate_doc
 from entropy_lab.decompositions import PRUNE_TOL, Decomposition, _identification_decomposition
-from entropy_lab.dynamical import DEFAULT_DIM_CAP, _mak_state_side, iter_set_partitions
+from entropy_lab.dynamical import (
+    DEFAULT_DIM_CAP,
+    DEFAULT_ENUMERATION_CAP,
+    _mak_state_side,
+    iter_set_partitions,
+)
+from entropy_lab.partitions import DEFAULT_WORD_CAP
 
 from conftest import marginal, random_partition, random_prob, random_system
 from oracles import (
@@ -452,6 +458,20 @@ class TestCntSearch:
         part = el.sharp_partition([[0, 1], [2]], 3)
         with pytest.raises(CapExceededError):
             el.cnt_search(doubly_stochastic, part, budget=0, seed=0, cap=100)
+
+    @pytest.mark.parametrize("n", [748, 760])
+    def test_cap_message_past_the_int_string_limit(self, n):
+        # 748^1496 has 4 300 digits, Python's default int-string limit, and
+        # prints in full; 760^1520 is past it and prints as a power.  The
+        # explicit measure skips the solve, so the chain is cheap to build.
+        system = el.make_bernoulli(np.full(n, 1 / n))
+        with pytest.raises(CapExceededError) as info:
+            el.cnt_search(system, el.uniform_unsharp(n, 2), budget=0, seed=0)
+        count = str(n ** (2 * n)) if n == 748 else "760^1520"
+        assert str(info.value) == (
+            f"identification enumeration would visit {count} map tuples, "
+            f"cap is {DEFAULT_ENUMERATION_CAP}"
+        )
 
     def test_negative_seed_rejected(self, two_state_chain, coin_extremal):
         with pytest.raises(ValidationError, match="seed"):
@@ -1005,6 +1025,20 @@ class TestSupOverSharp:
         assert len(result.cells) < 3
         assert result.sequence.n_max == 2
         assert result.sequence.truncated_at == 3
+
+    @pytest.mark.parametrize(
+        "kind, caps",
+        [("kow", {"word_cap": 1}), ("mak", {"dim_cap": 1}), ("afl", {"dim_cap": 1})],
+    )
+    def test_caps_that_stop_every_candidate(self, doubly_stochastic, kind, caps):
+        # Every sequence stops before depth 2, so no candidate has an increment.
+        caps = {"word_cap": DEFAULT_WORD_CAP, "dim_cap": DEFAULT_DIM_CAP} | caps
+        with pytest.raises(CapExceededError) as info:
+            el.sup_over_sharp(doubly_stochastic, el.EntropyKind(kind), 3, **caps)
+        assert str(info.value) == (
+            "every sharp partition's sequence stopped before depth 2 "
+            f"(word_cap {caps['word_cap']}, dim_cap {caps['dim_cap']})"
+        )
 
     def test_result_fields(self):
         assert [f.name for f in dataclasses.fields(el.SupResult)] == [

@@ -19,8 +19,12 @@ each setting a command does not read (``--units``, ``--word-cap`` and
 ``rate``, ``compare``, ``report`` and ``sample`` with 0 and 2, ``cnt`` with
 0 and 3, and ``sup`` with 1, which takes none), which exits 1, and
 ``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
-exits 3, and five documents that ``json.dumps`` cannot write, or that
-must fail before any allocation: a system file that is not UTF-8, one
+exits 3, and ``cnt`` on a 760-state ``{"bernoulli": ...}`` system, whose
+760^1520 map tuples have too many digits to print and are written as a
+power, and ``sup --kind kow --word-cap 1 --nmax 3`` on the three-state
+doubly stochastic chain, where every candidate stops before depth 2,
+which both exit 3, and five documents that ``json.dumps`` cannot write,
+or that must fail before any allocation: a system file that is not UTF-8, one
 with an integer literal longer than Python's 4 300-digit int-string
 limit, one with an integer beyond float range and one nested 100 000
 arrays deep, past the JSON parser's recursion limit, which exit 1, and a
@@ -93,6 +97,8 @@ RAW_ERROR_SYSTEMS = {
     "nested_past_recursion_limit": b'{"transition": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
 }
 HUGE_UNIFORM_PARTITION = {"uniform": 99999999999}
+PAST_DIGIT_LIMIT_SYSTEM = {"bernoulli": [1 / 760] * 760}
+TWO_OUTCOME_PARTITION = {"uniform": 2}
 ONE_STATE_SYSTEM = {"transition": [[1.0]]}
 ONE_STATE_PARTITION = {"response": [[0.25, 0.75]]}
 TINY_MASS_SYSTEM = {
@@ -180,6 +186,11 @@ def error_argvs(directory: Path):
             yield [*head, *("--partition", BLUR) * count]
     yield ["rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "2",
            "--nmax", "3"]
+    system, part = directory / "past_digit_limit.json", directory / "two_outcomes.json"
+    system.write_text(json.dumps(PAST_DIGIT_LIMIT_SYSTEM))
+    part.write_text(json.dumps(TWO_OUTCOME_PARTITION))
+    yield ["cnt", "--system", str(system), "--partition", str(part), "--seed", "1"]
+    yield ["sup", "--system", DOUBLY, "--kind", "kow", "--word-cap", "1", "--nmax", "3"]
     for name, raw in RAW_ERROR_SYSTEMS.items():
         path = directory / f"{name}.json"
         path.write_bytes(raw)
