@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, units, word_cap, dim_cap)
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--cell-budget", type=int, default=None)
 
     p = sub.add_parser("report", help="full document: summaries, sequences, estimates")
     common(p, units, word_cap, dim_cap, partitions=(1, 1))
@@ -166,7 +165,7 @@ def _load_partitions(args, system):
 # Keys of the JSON config block, in order; a command echoes the ones it has set.
 _CONFIG_KEYS = (
     "word_cap", "dim_cap", "units", "system", "partitions",
-    "kind", "nmax", "budget", "seed", "depth", "samples", "cell_budget", "cap",
+    "kind", "nmax", "budget", "seed", "depth", "samples", "cap",
 )
 
 
@@ -218,6 +217,14 @@ def cmd_validate(args, system, parts):
     return Report(doc, ["state", "stationary"], rows, summary), EXIT_OK
 
 
+def _truncation(seq, summary: list) -> int:
+    """Exit code of a command that reports ``seq``: 3 after noting a cap in ``summary``, else 0."""
+    if seq.truncated_at is None:
+        return EXIT_OK
+    summary.append(f"truncated: depth {seq.truncated_at} exceeded a cap")
+    return EXIT_CAP
+
+
 def cmd_rate(args, system, parts):
     (part,) = parts
     kind = EntropyKind(args.kind)
@@ -234,9 +241,7 @@ def cmd_rate(args, system, parts):
     if doc["estimate"]:
         summary.append(f"rate (last increment) = {doc['estimate']['last_increment']!r}")
         summary.append(f"rate (last ratio) = {doc['estimate']['last_ratio']!r}")
-    if seq.truncated_at is not None:
-        summary.append(f"truncated: depth {seq.truncated_at} exceeded a cap")
-    code = EXIT_CAP if seq.truncated_at is not None else EXIT_OK
+    code = _truncation(seq, summary)
     return Report(doc, ["N", "s_N", "increment", "ratio"], rows, summary), code
 
 
@@ -388,14 +393,7 @@ def cmd_sample(args, system, parts):
 
 def cmd_sup(args, system, parts):
     kind = EntropyKind(args.kind)
-    result = sup_over_sharp(
-        system,
-        kind,
-        args.nmax,
-        cell_budget=args.cell_budget,
-        word_cap=args.word_cap,
-        dim_cap=args.dim_cap,
-    )
+    result = sup_over_sharp(system, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap)
     cells_labeled = [[system.states[x] for x in cell] for cell in result.cells]
     doc = {
         "cells": cells_labeled,
@@ -408,7 +406,8 @@ def cmd_sup(args, system, parts):
         f"candidates evaluated = {result.candidates}",
         f"best rate (last increment) = {doc['estimate']['last_increment']!r} ({args.units})",
     ]
-    return Report(doc, ["cell", "states"], rows, summary), EXIT_OK
+    code = _truncation(result.sequence, summary)
+    return Report(doc, ["cell", "states"], rows, summary), code
 
 
 _COMMANDS = {

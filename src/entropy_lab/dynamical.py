@@ -395,7 +395,7 @@ def entropy_sequence(
     return EntropySequence(kind=kind, values=np.asarray(values), truncated_at=truncated_at)
 
 
-def iter_set_partitions(n: int, max_cells: int | None = None):
+def iter_set_partitions(n: int):
     """Iterate set partitions of range(n) in canonical order.
 
     Canonical form: cells sorted internally, listed by smallest member;
@@ -404,7 +404,6 @@ def iter_set_partitions(n: int, max_cells: int | None = None):
     """
     if n < 1:
         raise ValidationError("need at least one state")
-    limit = n if max_cells is None else max_cells
 
     def grow(cells, x):
         # State x joins each existing cell in turn, then opens a new one.
@@ -413,8 +412,7 @@ def iter_set_partitions(n: int, max_cells: int | None = None):
             return
         for c in range(len(cells)):
             yield from grow(cells[:c] + (cells[c] + (x,),) + cells[c + 1 :], x + 1)
-        if len(cells) < limit:
-            yield from grow(cells + ((x,),), x + 1)
+        yield from grow(cells + ((x,),), x + 1)
 
     yield from grow((), 0)
 
@@ -436,20 +434,22 @@ def sup_over_sharp(
     kind: EntropyKind,
     n_max: int,
     *,
-    cell_budget: int | None = None,
     word_cap: int = DEFAULT_WORD_CAP,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> SupResult:
     """Maximize the last increment of the sequence over all sharp partitions.
 
     Exhaustive over set partitions (feasible up to 8 states; 4140
-    candidates at 8).  ``cell_budget``, when given, is the most cells a
-    candidate may have, and must be at least 1.  A candidate whose sequence
-    stops before depth 2 has no increment and is skipped; when every one is,
-    a cap stopped them all and CapExceededError is raised.  The winner has
-    the largest last increment; ties within 1e-12 go to the
+    candidates at 8).  Every candidate is ranked at one depth D: the length
+    of the sequence of the partition into singletons under the caps.  A
+    partition with c cells has c^N words, and the singletons have the most
+    (c = n), so they hit ``word_cap`` or the ``afl`` ``dim_cap`` first; the
+    ``mak`` side is n for every candidate.  No candidate therefore stops
+    before depth D.  When the singletons stop before depth 2, no candidate
+    has an increment to rank at D and CapExceededError is raised.  The
+    winner has the largest last increment at D; ties within 1e-12 go to the
     lexicographically smallest canonical cell list, so results are
-    reproducible.
+    reproducible.  Its sequence carries the singletons' ``truncated_at``.
     """
     n = system.n_states
     if n > MAX_EXHAUSTIVE_STATES:
@@ -458,16 +458,18 @@ def sup_over_sharp(
         )
     if n_max < 2:
         raise ValidationError("n_max must be >= 2 so a rate can be estimated")
-    if cell_budget is not None and cell_budget < 1:
-        raise ValidationError(f"cell_budget must be >= 1, got {cell_budget}")
+    caps = {"word_cap": word_cap, "dim_cap": dim_cap}
+    singletons = sharp_partition([(x,) for x in range(n)], n)
+    reach = entropy_sequence(system, singletons, kind, n_max, **caps)
+    if reach.n_max < 2:
+        raise CapExceededError(
+            "the partition into singletons stopped before depth 2 "
+            f"(word_cap {word_cap}, dim_cap {dim_cap})"
+        )
     best = None  # (cells, sequence, last increment) of the leading candidate
     candidates = 0
-    for cells in iter_set_partitions(n, cell_budget):
-        sequence = entropy_sequence(
-            system, sharp_partition(cells, n), kind, n_max, word_cap=word_cap, dim_cap=dim_cap
-        )
-        if sequence.n_max < 2:
-            continue
+    for cells in iter_set_partitions(n):
+        sequence = entropy_sequence(system, sharp_partition(cells, n), kind, reach.n_max, **caps)
         candidates += 1
         rate = sequence.increments[-1]
         if (
@@ -476,10 +478,6 @@ def sup_over_sharp(
             or (abs(rate - best[2]) <= 1e-12 and cells < best[0])
         ):
             best = (cells, sequence, rate)
-    if best is None:
-        # n_max >= 2, so only a cap stops a sequence before depth 2.
-        raise CapExceededError(
-            f"every sharp partition's sequence stopped before depth 2 "
-            f"(word_cap {word_cap}, dim_cap {dim_cap})"
-        )
-    return SupResult(best[0], best[1], candidates)
+    cells, sequence, _ = best
+    sequence = EntropySequence(kind=kind, values=sequence.values, truncated_at=reach.truncated_at)
+    return SupResult(cells, sequence, candidates)

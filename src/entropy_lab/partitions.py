@@ -21,6 +21,7 @@ depth; they genuinely differ from depth 3 on for stochastic dynamics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,9 +197,12 @@ def word_label(f: PartitionOfUnity, word) -> str:
 def _power_text(base: int, exponent: int) -> int | str:
     """``base**exponent`` for a message, or ``"base^exponent"`` past the int-string limit.
 
-    Python prints at most 4 300 digits of an int by default.  ``base`` must be >= 2.
+    The limit is the one in force, ``sys.get_int_max_str_digits()``; a limit
+    of 0 (unlimited) counts as Python's default 4 300 digits, so no huge power
+    is ever built.  ``base`` must be >= 2.
     """
-    return base**exponent if exponent < 4300 / math.log10(base) else f"{base}^{exponent}"
+    limit = sys.get_int_max_str_digits() or 4300
+    return base**exponent if exponent < limit / math.log10(base) else f"{base}^{exponent}"
 
 
 def _check_refine_args(
@@ -225,11 +229,8 @@ def _check_refine_args(
         raise CapExceededError(
             f"depth {depth} is past {bound}, the deepest a {cap_name} of {cap} allows"
         )
-    if depth > bound:  # k^N >= 2^N > cap
+    if depth > bound or (n_words := k**depth) > cap:  # past the bound, k^N >= 2^N > cap
         raise CapExceededError(message.format(n=_power_text(k, depth), cap=cap))
-    n_words = k**depth
-    if n_words > cap:
-        raise CapExceededError(message.format(n=n_words, cap=cap))
     return n_words
 
 

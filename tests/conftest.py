@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,17 @@ def fixture_path(kind: str, name: str) -> str:
 
 def load_fixture(kind: str, name: str) -> dict:
     return json.loads((FIXTURE_DIR / kind / name).read_text())
+
+
+@contextlib.contextmanager
+def int_str_limit(digits: int):
+    """Set Python's int-string limit to ``digits`` (0 for none) inside the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def random_system(rng: np.random.Generator, n: int) -> el.StochasticSystem:

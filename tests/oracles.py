@@ -71,7 +71,7 @@ def shannon(p) -> float:
     return total
 
 
-def set_partitions_by_product(n: int, max_cells: int | None = None) -> list:
+def set_partitions_by_product(n: int) -> list:
     """Set partitions of range(n) in canonical order, from restricted growth strings.
 
     ``itertools.product`` lists every string over range(n) lexicographically;
@@ -83,8 +83,7 @@ def set_partitions_by_product(n: int, max_cells: int | None = None) -> list:
         if any(c > max(letters[:i], default=-1) + 1 for i, c in enumerate(letters)):
             continue
         n_cells = max(letters) + 1
-        if max_cells is None or n_cells <= max_cells:
-            out.append(tuple(tuple(x for x in range(n) if letters[x] == c) for c in range(n_cells)))
+        out.append(tuple(tuple(x for x in range(n) if letters[x] == c) for c in range(n_cells)))
     return out
 
 

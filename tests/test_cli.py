@@ -18,7 +18,7 @@ from entropy_lab.cli import main
 from entropy_lab.documents import load_partition, load_system
 from entropy_lab.reports import LN2, Report, convert_units, fmt
 
-from conftest import fixture_path
+from conftest import fixture_path, int_str_limit
 
 CHAIN = str(fixture_path("systems", "two_state_chain.json"))
 FAIR = str(fixture_path("systems", "bernoulli_fair.json"))
@@ -276,6 +276,25 @@ class TestCnt:
             f"cap is {dynamical.DEFAULT_ENUMERATION_CAP}\n"
         )
 
+    @pytest.mark.parametrize("n, count", [(147, str(147**294)), (300, "300^600")])
+    def test_cap_under_a_lower_int_string_limit_exits_3(self, tmp_path, n, count):
+        # Under a limit of 640 digits, 147^294 (638 digits) prints in full and
+        # 300^600 (1 487 digits) prints as a power.
+        system, part = tmp_path / "bernoulli.json", tmp_path / "uniform.json"
+        system.write_text(json.dumps({"bernoulli": [1 / n] * n}))
+        part.write_text(json.dumps({"uniform": 2}))
+        with int_str_limit(640):
+            code, out, err = run(
+                "cnt", "--system", str(system), "--partition", str(part), "--seed", "1"
+            )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == (
+            f"error: identification enumeration would visit {count} map tuples, "
+            f"cap is {dynamical.DEFAULT_ENUMERATION_CAP}\n"
+        )
+
 
 class TestSample:
     def test_within_bound(self):
@@ -315,11 +334,6 @@ class TestSup:
         assert doc["candidates"] == 2
         assert doc["estimate"]["last_increment"] == pytest.approx(H_CHAIN, abs=1e-9)
 
-    def test_cell_budget_restricts_candidates(self):
-        code, doc, _ = run_json("sup", "--system", CHAIN, "--kind", "kow", "--cell-budget", "1")
-        assert code == 0
-        assert doc["cells"] == [["a", "b"]]
-
     def test_cycle_rate_is_zero(self):
         code, doc, _ = run_json("sup", "--system", CYCLE, "--kind", "kow", "--nmax", "3")
         assert code == 0
@@ -333,7 +347,20 @@ class TestSup:
         assert code == 3
         assert out == ""
         assert "Traceback" not in err
-        assert err.startswith("error: every sharp partition's sequence stopped before depth 2 (")
+        assert err.startswith("error: the partition into singletons stopped before depth 2 (")
+
+    def test_word_cap_ranks_every_candidate_at_the_singletons_depth(self):
+        # Three singletons have 27 words at depth 3, over the cap of 9, so all five
+        # candidates are ranked at depth 2 and the command exits 3.
+        argv = ("sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", "9")
+        code, doc, _ = run_json(*argv)
+        assert code == 3
+        assert doc["cells"] == [["x0"], ["x1"], ["x2"]]
+        assert doc["estimate"]["depth"] == 2
+        assert doc["candidates"] == 5
+        code, out, _ = run(*argv)
+        assert code == 3
+        assert "truncated: depth 3 exceeded a cap" in out
 
 
 class TestReportCommand:
@@ -515,6 +542,21 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: would count 2^{10**20} words, cap is 1048576\n"
 
+    def test_word_count_past_the_int_string_limit_exits_3(self, tmp_path):
+        # 10^4300 has 4 301 digits, one past Python's default limit: the count
+        # prints as a power, next to a cap of 4 300 digits that prints in full.
+        part = tmp_path / "ten_outcomes.json"
+        part.write_text(json.dumps({"uniform": 10}))
+        cap = "1" + "0" * 4299
+        code, out, err = run(
+            "sample", "--system", CHAIN, "--partition", str(part),
+            "--depth", "4300", "--seed", "1", "--word-cap", cap,
+        )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == f"error: would count 10^4300 words, cap is {cap}\n"
+
     def test_samples_beyond_int64_is_validation(self):
         code, out, err = run(
             "sample", "--system", CHAIN, "--partition", BLUR,
@@ -543,8 +585,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", "0"), "cell_budget"),
-            (("sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", "-1"), "cell_budget"),
             (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "0"), "cap"),
             (("cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", "-1"), "cap"),
             (("rate", "--system", CHAIN, "--partition", BLUR, "--kind", "afl", "--word-cap", "0"),
@@ -565,7 +605,7 @@ class TestExitCodes:
               "--word-cap", "0"), "word_cap"),
         ],
         ids=[
-            "sup-0", "sup-negative", "cnt-0", "cnt-negative",
+            "cnt-0", "cnt-negative",
             "rate-afl-word-0", "rate-afl-word-negative", "rate-hud-word-0", "rate-hud-dim-0",
             "rate-kow-dim-negative", "compare-word-0", "report-dim-negative", "sup-afl-word-0",
             "sup-hud-dim-0", "sample-word-0",
@@ -640,9 +680,10 @@ class TestOneOutcomeDepth:
         done = self.cli_subprocess(
             "sup", "--system", CHAIN, "--kind", "kow", "--nmax", self.HUGE, "--format", "json"
         )
-        assert done.returncode == 0
+        # The singletons' 2^21 words pass the default cap, so both stop at depth 20.
+        assert done.returncode == 3
         code, doc, _ = run_json("sup", "--system", CHAIN, "--kind", "kow", "--nmax", "30")
-        assert code == 0
+        assert code == 3
         huge = json.loads(done.stdout)
         assert (huge["cells"], huge["estimate"], huge["candidates"]) == (
             doc["cells"], doc["estimate"], doc["candidates"]

@@ -28,7 +28,7 @@ from entropy_lab.dynamical import (
 )
 from entropy_lab.partitions import DEFAULT_WORD_CAP
 
-from conftest import marginal, random_partition, random_prob, random_system
+from conftest import int_str_limit, marginal, random_partition, random_prob, random_system
 from oracles import (
     BELL_NUMBERS,
     cnt_value,
@@ -468,6 +468,28 @@ class TestCntSearch:
         with pytest.raises(CapExceededError) as info:
             el.cnt_search(system, el.uniform_unsharp(n, 2), budget=0, seed=0)
         count = str(n ** (2 * n)) if n == 748 else "760^1520"
+        assert str(info.value) == (
+            f"identification enumeration would visit {count} map tuples, "
+            f"cap is {DEFAULT_ENUMERATION_CAP}"
+        )
+
+    @pytest.mark.parametrize(
+        "limit, n, count",
+        [
+            (640, 147, str(147**294)),
+            (640, 148, "148^296"),
+            (640, 300, "300^600"),
+            (0, 760, "760^1520"),
+        ],
+        ids=["640-fits", "640-past", "640-300-states", "unlimited"],
+    )
+    def test_cap_message_under_the_int_string_limit_in_force(self, limit, n, count):
+        # Under a limit of 640 digits, 147^294 (638 digits) prints in full, and
+        # 148^296 (643 digits) and 300^600 (1 487) as powers; no limit at all
+        # counts as 4 300 digits.
+        system = el.make_bernoulli(np.full(n, 1 / n))
+        with int_str_limit(limit), pytest.raises(CapExceededError) as info:
+            el.cnt_search(system, el.uniform_unsharp(n, 2), budget=0, seed=0)
         assert str(info.value) == (
             f"identification enumeration would visit {count} map tuples, "
             f"cap is {DEFAULT_ENUMERATION_CAP}"
@@ -967,6 +989,14 @@ class TestRateEstimate:
         assert est["last_ratio"] == values[-1] / n
 
 
+@st.composite
+def sweep_cases(draw):
+    """A chain on at most 5 states, a kind, an nmax and small caps for the sharp sweep."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(list(el.EntropyKind)))
+    return draw(systems(n)), kind, draw(st.integers(2, 7)), draw(CAPS), draw(CAPS)
+
+
 class TestIterSetPartitions:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bell_counts(self, n):
@@ -984,16 +1014,14 @@ class TestIterSetPartitions:
             for cell in cells:
                 assert list(cell) == sorted(cell)
 
-    def test_max_cells_filter(self):
-        # partitions of 4 elements into at most 2 cells: 1 + 7
-        assert sum(1 for _ in iter_set_partitions(4, max_cells=2)) == 8
-
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("cells", ["none", 1, 2, "n"])
     def test_order_equals_filtered_product(self, n, cells):
-        # sup_over_sharp breaks rate ties by this order, so all of it is pinned
-        max_cells = {"none": None, "n": n}.get(cells, cells)
-        assert list(iter_set_partitions(n, max_cells)) == set_partitions_by_product(n, max_cells)
+        # sup_over_sharp breaks rate ties by this order, so all of it is pinned,
+        # and so is its restriction to the partitions of at most 1 or 2 cells.
+        limit = {"none": n, "n": n}.get(cells, cells)
+        ours = [p for p in iter_set_partitions(n) if len(p) <= limit]
+        assert ours == [p for p in set_partitions_by_product(n) if len(p) <= limit]
 
 
 class TestSupOverSharp:
@@ -1011,18 +1039,11 @@ class TestSupOverSharp:
         assert result.cells == ((0,), (1,), (2,))
         assert result.candidates == BELL_NUMBERS[3]
 
-    def test_cell_budget(self, doubly_stochastic):
-        result = el.sup_over_sharp(
-            doubly_stochastic, el.EntropyKind.KOW, 3, cell_budget=1
-        )
-        assert result.cells == ((0, 1, 2),)
-        assert result.candidates == 1
-
-    def test_skips_candidates_without_an_increment(self, doubly_stochastic):
-        # Three cells give 9 words at depth 2, over the cap: one value, no increment.
-        result = el.sup_over_sharp(doubly_stochastic, el.EntropyKind.KOW, 3, word_cap=4)
-        assert result.candidates == BELL_NUMBERS[3] - 1
-        assert len(result.cells) < 3
+    def test_word_cap_ranks_every_candidate_at_the_singletons_depth(self, doubly_stochastic):
+        # The singletons have 9 words at depth 2 and 27 at depth 3, so word_cap 9 stops
+        # them at depth 3, and all five candidates are ranked at depth 2.
+        result = el.sup_over_sharp(doubly_stochastic, el.EntropyKind.KOW, 3, word_cap=9)
+        assert result.candidates == BELL_NUMBERS[3]
         assert result.sequence.n_max == 2
         assert result.sequence.truncated_at == 3
 
@@ -1031,14 +1052,39 @@ class TestSupOverSharp:
         [("kow", {"word_cap": 1}), ("mak", {"dim_cap": 1}), ("afl", {"dim_cap": 1})],
     )
     def test_caps_that_stop_every_candidate(self, doubly_stochastic, kind, caps):
-        # Every sequence stops before depth 2, so no candidate has an increment.
+        # The singletons stop before depth 2, so no candidate is ranked.
         caps = {"word_cap": DEFAULT_WORD_CAP, "dim_cap": DEFAULT_DIM_CAP} | caps
         with pytest.raises(CapExceededError) as info:
             el.sup_over_sharp(doubly_stochastic, el.EntropyKind(kind), 3, **caps)
         assert str(info.value) == (
-            "every sharp partition's sequence stopped before depth 2 "
+            "the partition into singletons stopped before depth 2 "
             f"(word_cap {caps['word_cap']}, dim_cap {caps['dim_cap']})"
         )
+
+    @settings(max_examples=200)
+    @given(sweep_cases())
+    def test_no_candidate_stops_before_the_singletons(self, case):
+        system, kind, n_max, word_cap, dim_cap = case
+        n = system.n_states
+        caps = {"word_cap": word_cap, "dim_cap": dim_cap}
+        sequences = {
+            cells: el.entropy_sequence(system, el.sharp_partition(cells, n), kind, n_max, **caps)
+            for cells in iter_set_partitions(n)
+        }
+        reach = sequences[tuple((x,) for x in range(n))]
+        assert all(seq.n_max >= reach.n_max for seq in sequences.values())
+        if reach.n_max < 2:
+            with pytest.raises(CapExceededError, match="singletons stopped before depth 2"):
+                el.sup_over_sharp(system, kind, n_max, **caps)
+            return
+        result = el.sup_over_sharp(system, kind, n_max, **caps)
+        assert result.candidates == BELL_NUMBERS[n]
+        assert result.sequence.n_max == reach.n_max
+        assert result.sequence.truncated_at == reach.truncated_at
+        depth = reach.n_max
+        assert np.array_equal(result.sequence.values, sequences[result.cells].values[:depth])
+        rates = [seq.values[depth - 1] - seq.values[depth - 2] for seq in sequences.values()]
+        assert result.sequence.increments[-1] >= max(rates) - 1e-12
 
     def test_result_fields(self):
         assert [f.name for f in dataclasses.fields(el.SupResult)] == [

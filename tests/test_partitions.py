@@ -9,7 +9,7 @@ import pytest
 import entropy_lab as el
 from entropy_lab import CapExceededError, ValidationError
 
-from conftest import random_partition, random_system
+from conftest import int_str_limit, random_partition, random_system
 from oracles import mak_elements_by_powers, path_word_distribution
 
 
@@ -235,6 +235,28 @@ class TestRefinements:
             el.refine_afl(two_state_chain, part, depth)
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("depth, count", [(4299, str(10**4299)), (4300, "10^4300")])
+    def test_count_within_the_cap_bits_past_the_int_string_limit(
+        self, two_state_chain, depth, count
+    ):
+        # A cap of depth digits keeps the depth under the cap's bit length, so the
+        # exact count 10^depth is compared; 10^4299 has 4 300 digits and prints in
+        # full, 10^4300 has one more and prints as a power.
+        cap = 10 ** (depth - 1)
+        with pytest.raises(CapExceededError) as info:
+            el.refine_afl(two_state_chain, el.uniform_unsharp(2, 10), depth, word_cap=cap)
+        assert str(info.value) == f"refinement would materialize {count} words, cap is {cap}"
+
+    @pytest.mark.parametrize(
+        "limit, depth, count",
+        [(640, 639, str(10**639)), (640, 640, "10^640"), (0, 4300, "10^4300")],
+    )
+    def test_count_under_the_int_string_limit_in_force(self, two_state_chain, limit, depth, count):
+        # The limit in force decides, and no limit at all counts as 4 300 digits.
+        with int_str_limit(limit), pytest.raises(CapExceededError) as info:
+            el.refine_afl(two_state_chain, el.uniform_unsharp(2, 10), depth, word_cap=8)
+        assert str(info.value) == f"refinement would materialize {count} words, cap is 8"
 
     def test_one_outcome_reaches_the_depth_bound(self, two_state_chain):
         refined = el.refine_afl(two_state_chain, el.uniform_unsharp(2, 1), 21)

@@ -9,8 +9,8 @@ table format, then every op that ``bench/workloads.generate`` builds for
 seeds 1-3, then the error paths: one run for each of exit codes 1-3,
 malformed numeric fields in documents, ``--out`` to a directory that
 does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, a
-``sup --cell-budget`` and a ``cnt --cap`` of 0 and of -1, which exit 2, and
-each setting a command does not read (``--units``, ``--word-cap`` and
+``cnt --cap`` of 0 and of -1, which exit 2, and each setting a command
+does not read (``--units``, ``--word-cap`` and
 ``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
 ``--units`` on ``sample``), which exits 1, and a word or dimension cap below
 1 (``rate --kind afl --word-cap 0``, ``rate --kind hud --dim-cap 0``,
@@ -21,9 +21,12 @@ each setting a command does not read (``--units``, ``--word-cap`` and
 ``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
 exits 3, and ``cnt`` on a 760-state ``{"bernoulli": ...}`` system, whose
 760^1520 map tuples have too many digits to print and are written as a
-power, and ``sup --kind kow --word-cap 1 --nmax 3`` on the three-state
-doubly stochastic chain, where every candidate stops before depth 2,
-which both exit 3, and five documents that ``json.dumps`` cannot write,
+power, and ``sample --depth 4300`` of a ``{"uniform": 10}`` partition
+under a ``--word-cap`` of 4 300 digits, whose 10^4300 words have one digit
+too many to print and are written as a power, and ``sup --kind kow
+--word-cap 1 --nmax 3`` on the three-state doubly stochastic chain, where
+the partition into singletons stops before depth 2, which all exit 3, and
+five documents that ``json.dumps`` cannot write,
 or that must fail before any allocation: a system file that is not UTF-8, one
 with an integer literal longer than Python's 4 300-digit int-string
 limit, one with an integer beyond float range and one nested 100 000
@@ -41,11 +44,13 @@ and ``rate --kind kow --nmax 30`` and ``rate --kind afl --nmax 30`` on a
 only the depth bound of the caps stops them (at depths 22 and 13);
 then, in every format, the rate estimates: ``--units bits`` on ``rate``
 (each kind), ``compare``, ``report``, ``cnt`` and ``sup``, a ``rate
---nmax 1`` whose estimate is null, ``sup --kind kow --nmax 3
---word-cap 4`` on the three-state doubly stochastic chain, whose
-three-cell candidate stops at depth 2 and is skipped, so that
-``candidates`` reads 4, and ``compare`` and ``report`` with ``--word-cap 4
---nmax 3``, where every kind stops at depth 3 and the command exits 3.
+--nmax 1`` whose estimate is null, ``sup --kind kow --nmax 3`` on the
+three-state doubly stochastic chain with ``--word-cap 4``, where the
+partition into singletons stops at depth 2, before any candidate can be
+ranked, and with ``--word-cap 9``, where it stops at depth 3, so that all
+five candidates are ranked at depth 2, which both exit 3, and ``compare``
+and ``report`` with ``--word-cap 4 --nmax 3``, where every kind stops at
+depth 3 and the command exits 3.
 After these in-process runs, every
 ``demos/*.py`` runs as a subprocess with ``PYTHONPATH=<src>`` and the
 pinned BLAS environment, and prints one ``sha256  demos/<name>`` line over
@@ -99,6 +104,7 @@ RAW_ERROR_SYSTEMS = {
 HUGE_UNIFORM_PARTITION = {"uniform": 99999999999}
 PAST_DIGIT_LIMIT_SYSTEM = {"bernoulli": [1 / 760] * 760}
 TWO_OUTCOME_PARTITION = {"uniform": 2}
+TEN_OUTCOME_PARTITION = {"uniform": 10}
 ONE_STATE_SYSTEM = {"transition": [[1.0]]}
 ONE_STATE_PARTITION = {"response": [[0.25, 0.75]]}
 TINY_MASS_SYSTEM = {
@@ -174,7 +180,6 @@ def error_argvs(directory: Path):
     yield ["sample", "--system", CHAIN, "--partition", BLUR, "--depth", "2", "--seed", "-1"]
     yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--budget", "2", "--seed", "-3"]
     for budget in ("0", "-1"):
-        yield ["sup", "--system", CHAIN, "--kind", "hud", "--cell-budget", budget]
         yield ["cnt", "--system", CHAIN, "--partition", BLUR, "--seed", "1", "--cap", budget]
     for head, flags in UNREAD_SETTINGS.items():
         for flag in flags:
@@ -190,6 +195,10 @@ def error_argvs(directory: Path):
     system.write_text(json.dumps(PAST_DIGIT_LIMIT_SYSTEM))
     part.write_text(json.dumps(TWO_OUTCOME_PARTITION))
     yield ["cnt", "--system", str(system), "--partition", str(part), "--seed", "1"]
+    part = directory / "ten_outcomes.json"
+    part.write_text(json.dumps(TEN_OUTCOME_PARTITION))
+    yield ["sample", "--system", CHAIN, "--partition", str(part), "--depth", "4300", "--seed", "1",
+           "--word-cap", str(10**4299)]
     yield ["sup", "--system", DOUBLY, "--kind", "kow", "--word-cap", "1", "--nmax", "3"]
     for name, raw in RAW_ERROR_SYSTEMS.items():
         path = directory / f"{name}.json"
@@ -223,7 +232,7 @@ def degenerate_argvs(directory: Path):
 
 
 def estimate_argvs():
-    """Runs that convert units or read, skip or truncate a rate estimate, in every format."""
+    """Runs that convert units or read or truncate a rate estimate, in every format."""
     head = ["--system", CHAIN, "--partition", BLUR]
     for fmt in FORMATS:
         tail = ["--format", fmt]
@@ -234,7 +243,9 @@ def estimate_argvs():
         yield ["cnt", *head, "--budget", "5", "--seed", "1", "--units", "bits", *tail]
         yield ["sup", "--system", CHAIN, "--kind", "kow", "--nmax", "3", "--units", "bits", *tail]
         yield ["rate", *head, "--kind", "kow", "--nmax", "1", *tail]
-        yield ["sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", "4", *tail]
+        for cap in ("4", "9"):
+            yield ["sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", cap,
+                   *tail]
         for command in ("compare", "report"):
             yield [command, *head, "--word-cap", "4", "--nmax", "3", *tail]
 
