@@ -194,8 +194,10 @@ def _sequence_doc(seq, units) -> dict:
     }
 
 
-def _estimate_doc(seq, units) -> dict:
-    """The rate estimates of a sequence of at least two values: its tail."""
+def _estimate_doc(seq, units) -> dict | None:
+    """The rate estimates of a sequence, its tail; None below two values."""
+    if seq.n_max < 2:
+        return None
     return {
         "kind": seq.kind.value,
         "depth": seq.n_max,
@@ -217,12 +219,23 @@ def cmd_validate(args, system, parts):
     return Report(doc, ["state", "stationary"], rows, summary), EXIT_OK
 
 
-def _truncation(seq, summary: list) -> int:
-    """Exit code of a command that reports ``seq``: 3 after noting a cap in ``summary``, else 0."""
-    if seq.truncated_at is None:
+def _truncation(seqs, summary: list) -> int:
+    """Exit code of a command that reports ``seqs``: 3 after noting their first cap, else 0."""
+    capped = [seq.truncated_at for seq in seqs if seq.truncated_at is not None]
+    if not capped:
         return EXIT_OK
-    summary.append(f"truncated: depth {seq.truncated_at} exceeded a cap")
+    summary.append(f"truncated: depth {min(capped)} exceeded a cap")
     return EXIT_CAP
+
+
+def _sequence_block(seq, units, summary: list) -> tuple[dict, int]:
+    """The ``sequence`` and ``estimate`` of ``seq`` and its exit code; lines go to ``summary``."""
+    block = {"sequence": _sequence_doc(seq, units), "estimate": _estimate_doc(seq, units)}
+    summary += [f"kind = {seq.kind.value}", f"units = {units}"]
+    if block["estimate"]:
+        summary.append(f"rate (last increment) = {block['estimate']['last_increment']!r}")
+        summary.append(f"rate (last ratio) = {block['estimate']['last_ratio']!r}")
+    return block, _truncation([seq], summary)
 
 
 def cmd_rate(args, system, parts):
@@ -231,17 +244,10 @@ def cmd_rate(args, system, parts):
     seq = entropy_sequence(
         system, part, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap
     )
-    sdoc = _sequence_doc(seq, args.units)
-    doc = {
-        "sequence": sdoc,
-        "estimate": _estimate_doc(seq, args.units) if seq.n_max >= 2 else None,
-    }
+    summary = []
+    doc, code = _sequence_block(seq, args.units, summary)
+    sdoc = doc["sequence"]
     rows = list(zip(sdoc["n"], sdoc["values"], sdoc["increments"], sdoc["ratios"]))
-    summary = [f"kind = {kind.value}", f"units = {args.units}"]
-    if doc["estimate"]:
-        summary.append(f"rate (last increment) = {doc['estimate']['last_increment']!r}")
-        summary.append(f"rate (last ratio) = {doc['estimate']['last_ratio']!r}")
-    code = _truncation(seq, summary)
     return Report(doc, ["N", "s_N", "increment", "ratio"], rows, summary), code
 
 
@@ -282,15 +288,10 @@ def _all_kinds(args, system, part, intro: list, ordering: str, ok: str):
     violations = [
         v for i in range(common_depth) for v in _ordering_violations(seqs, i, args.units)
     ]
-    truncated = any(s.truncated_at is not None for s in seqs.values())
     docs = {k.value: _sequence_doc(s, args.units) for k, s in seqs.items()}
     doc = {
         "sequences": docs,
-        "estimates": {
-            k.value: _estimate_doc(s, args.units)
-            for k, s in seqs.items()
-            if s.n_max >= 2
-        },
+        "estimates": {k.value: _estimate_doc(s, args.units) for k, s in seqs.items()},
         "ordering_violations": violations,
     }
     rows = [
@@ -306,9 +307,9 @@ def _all_kinds(args, system, part, intro: list, ordering: str, ok: str):
         f"units = {args.units}",
         ordering + (ok if not violations else f"{len(violations)} VIOLATIONS"),
     ]
-    if truncated:
-        summary.append("truncated: at least one kind hit a cap")
-    code = EXIT_INEQUALITY if violations else (EXIT_CAP if truncated else EXIT_OK)
+    code = _truncation(seqs.values(), summary)
+    if violations:  # an ordering violation outranks a cap
+        code = EXIT_INEQUALITY
     return Report(doc, ["N", *_KIND_NAMES, "ordering"], rows, summary), code
 
 
@@ -395,18 +396,10 @@ def cmd_sup(args, system, parts):
     kind = EntropyKind(args.kind)
     result = sup_over_sharp(system, kind, args.nmax, word_cap=args.word_cap, dim_cap=args.dim_cap)
     cells_labeled = [[system.states[x] for x in cell] for cell in result.cells]
-    doc = {
-        "cells": cells_labeled,
-        "estimate": _estimate_doc(result.sequence, args.units),
-        "candidates": result.candidates,
-    }
+    summary = [f"candidates evaluated = {result.candidates}"]
+    block, code = _sequence_block(result.sequence, args.units, summary)
+    doc = {"cells": cells_labeled, **block, "candidates": result.candidates}
     rows = [(i, "+".join(cell)) for i, cell in enumerate(cells_labeled)]
-    summary = [
-        f"kind = {kind.value}",
-        f"candidates evaluated = {result.candidates}",
-        f"best rate (last increment) = {doc['estimate']['last_increment']!r} ({args.units})",
-    ]
-    code = _truncation(result.sequence, summary)
     return Report(doc, ["cell", "states"], rows, summary), code
 
 

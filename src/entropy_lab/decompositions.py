@@ -256,9 +256,6 @@ def _information(weights: np.ndarray, base: np.ndarray, outcome_rows: np.ndarray
     """
     base_etas, row_etas = _etas([base, outcome_rows])
     difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
-    if np.count_nonzero(weights) < weights.size:  # zero-weight components carry nothing
-        present = weights > 0.0
-        weights, outcome_rows = weights[present], outcome_rows[present]
     relative_form = float(weights @ relative_entropy_rows(outcome_rows, base))
     if abs(difference_form - relative_form) > MI_FORM_TOL:
         raise InequalityViolationError(

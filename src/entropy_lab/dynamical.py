@@ -450,6 +450,9 @@ def sup_over_sharp(
     winner has the largest last increment at D; ties within 1e-12 go to the
     lexicographically smallest canonical cell list, so results are
     reproducible.  Its sequence carries the singletons' ``truncated_at``.
+    The singletons, last in canonical order, reuse the sequence that found
+    D (each depth is computed on its own, so its values are those of a
+    sequence to D): each of the Bell(n) candidates is evaluated once.
     """
     n = system.n_states
     if n > MAX_EXHAUSTIVE_STATES:
@@ -469,7 +472,10 @@ def sup_over_sharp(
     best = None  # (cells, sequence, last increment) of the leading candidate
     candidates = 0
     for cells in iter_set_partitions(n):
-        sequence = entropy_sequence(system, sharp_partition(cells, n), kind, reach.n_max, **caps)
+        sequence = (
+            reach if len(cells) == n
+            else entropy_sequence(system, sharp_partition(cells, n), kind, reach.n_max, **caps)
+        )
         candidates += 1
         rate = sequence.increments[-1]
         if (

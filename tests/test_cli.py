@@ -176,6 +176,11 @@ class TestCompare:
         assert lines[0] == "N,hud,mak,afl,kow,ordering"
         assert all(line.endswith(",ok") for line in lines[1:])
 
+    def test_nmax_one_has_a_null_estimate_for_each_kind(self):
+        code, doc, _ = run_json("compare", "--system", CHAIN, "--partition", BLUR, "--nmax", "1")
+        assert code == 0
+        assert doc["estimates"] == {name: None for name in ("hud", "mak", "afl", "kow")}
+
     def test_table_mentions_ok(self):
         code, out, _ = run("compare", "--system", CHAIN, "--partition", BLUR)
         assert code == 0
@@ -362,6 +367,31 @@ class TestSup:
         assert code == 3
         assert "truncated: depth 3 exceeded a cap" in out
 
+    def test_json_sequence_carries_the_truncation(self):
+        argv = ("sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3")
+        code, doc, _ = run_json(*argv, "--word-cap", "9")
+        assert code == 3
+        assert doc["sequence"]["truncated_at"] == 3
+        assert len(doc["sequence"]["values"]) == doc["estimate"]["depth"] == 2
+        assert list(doc)[-4:] == ["cells", "sequence", "estimate", "candidates"]
+        code, doc, _ = run_json(*argv)
+        assert code == 0
+        assert doc["sequence"]["truncated_at"] is None
+        assert len(doc["sequence"]["values"]) == doc["estimate"]["depth"] == 3
+
+    def test_table_summary_reads_like_rate(self):
+        code, out, _ = run("sup", "--system", CHAIN, "--kind", "kow", "--nmax", "4")
+        _, doc, _ = run_json("sup", "--system", CHAIN, "--kind", "kow", "--nmax", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[: lines.index("")] == [
+            "candidates evaluated = 2",
+            "kind = kow",
+            "units = nats",
+            f"rate (last increment) = {doc['estimate']['last_increment']!r}",
+            f"rate (last ratio) = {doc['estimate']['last_ratio']!r}",
+        ]
+
 
 class TestReportCommand:
     def test_full_document(self):
@@ -471,8 +501,20 @@ class TestAllKindsTruncation:
         code, out, _ = run(command, *self.ARGV)
         assert code == 3
         lines = out.splitlines()
-        assert lines[lines.index("") - 1] == "truncated: at least one kind hit a cap"
+        assert lines[lines.index("") - 1] == "truncated: depth 3 exceeded a cap"
         assert "".join(ORDERING_SUMMARY[command]) in lines
+
+    @pytest.mark.parametrize("command", ALL_KIND_COMMANDS)
+    def test_the_first_capped_depth_is_named(self, command):
+        # --dim-cap 2 stops afl at depth 2 (k^N = 4 > 2); the word cap stops the rest at 3.
+        code, doc, _ = run_json(command, *self.ARGV, "--dim-cap", "2")
+        assert code == 3
+        assert doc["sequences"]["afl"]["truncated_at"] == 2
+        assert doc["estimates"]["afl"] is None
+        assert doc["estimates"]["kow"]["depth"] == 2
+        code, out, _ = run(command, *self.ARGV, "--dim-cap", "2")
+        assert code == 3
+        assert "truncated: depth 2 exceeded a cap" in out.splitlines()
 
 
 class TestExitCodes:

@@ -988,6 +988,10 @@ class TestRateEstimate:
         assert est["last_increment"] == values[-1] - values[-2]
         assert est["last_ratio"] == values[-1] / n
 
+    @pytest.mark.parametrize("values", [[], [0.5]])
+    def test_no_estimate_below_two_values(self, values):
+        assert _estimate_doc(el.EntropySequence(el.EntropyKind.KOW, values), "nats") is None
+
 
 @st.composite
 def sweep_cases(draw):
@@ -1046,6 +1050,17 @@ class TestSupOverSharp:
         assert result.candidates == BELL_NUMBERS[3]
         assert result.sequence.n_max == 2
         assert result.sequence.truncated_at == 3
+
+    @pytest.mark.parametrize("kind", list(el.EntropyKind))
+    @pytest.mark.parametrize("caps", [{}, {"word_cap": 9}])
+    def test_each_candidate_is_evaluated_once(self, doubly_stochastic, kind, caps):
+        # The partition into singletons finds the sweep depth and is then ranked on
+        # that same sequence, so the sweep computes Bell(3) = 5 sequences in all.
+        wrapped = dynamical.entropy_sequence
+        with mock.patch.object(dynamical, "entropy_sequence", wraps=wrapped) as counted:
+            result = el.sup_over_sharp(doubly_stochastic, kind, 3, **caps)
+        assert counted.call_count == BELL_NUMBERS[3]
+        assert result.candidates == BELL_NUMBERS[3]
 
     @pytest.mark.parametrize(
         "kind, caps",

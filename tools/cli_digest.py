@@ -3,54 +3,63 @@
     python3 tools/cli_digest.py [--src PATH] > digest.txt
 
 Runs ``entropy_lab.cli.main`` in process and prints one ``sha256  argv``
-line per run.  The hash covers the exit code, stdout and stderr.  The runs
-are every command on every fixture system and partition in json, csv and
-table format, then every op that ``bench/workloads.generate`` builds for
-seeds 1-3, then the error paths: one run for each of exit codes 1-3,
-malformed numeric fields in documents, ``--out`` to a directory that
-does not exist, a negative ``--seed`` for ``sample`` and ``cnt``, a
-``cnt --cap`` of 0 and of -1, which exit 2, and each setting a command
-does not read (``--units``, ``--word-cap`` and
-``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap`` and
-``--units`` on ``sample``), which exits 1, and a word or dimension cap below
-1 (``rate --kind afl --word-cap 0``, ``rate --kind hud --dim-cap 0``,
-``report --dim-cap -1``, ``sample --word-cap 0``), which exits 2, and one
---partition count outside each command's range (``validate`` with 9,
-``rate``, ``compare``, ``report`` and ``sample`` with 0 and 2, ``cnt`` with
-0 and 3, and ``sup`` with 1, which takes none), which exits 1, and
-``rate --kind afl --word-cap 2 --nmax 3``, which stops at depth 2 and
-exits 3, and ``cnt`` on a 760-state ``{"bernoulli": ...}`` system, whose
-760^1520 map tuples have too many digits to print and are written as a
-power, and ``sample --depth 4300`` of a ``{"uniform": 10}`` partition
-under a ``--word-cap`` of 4 300 digits, whose 10^4300 words have one digit
-too many to print and are written as a power, and ``sup --kind kow
---word-cap 1 --nmax 3`` on the three-state doubly stochastic chain, where
-the partition into singletons stops before depth 2, which all exit 3, and
-five documents that ``json.dumps`` cannot write,
-or that must fail before any allocation: a system file that is not UTF-8, one
-with an integer literal longer than Python's 4 300-digit int-string
-limit, one with an integer beyond float range and one nested 100 000
-arrays deep, past the JSON parser's recursion limit, which exit 1, and a
-partition ``{"uniform": 99999999999}``, whose count exceeds the default
-word cap and which exits 2, and ``sample --samples 10**20``, beyond the
-int64 range of the counts, which exits 2; last, the degenerate shapes:
-``cnt`` on a one-state system, whose decompositions have index sizes (1, 1) and which has one
-identification, and ``cnt`` on a three-state system whose third state has
-stationary mass 1e-16, so that marginal weight sums fall in (0, PRUNE_TOL]
-and are pruned, and ``cnt`` with ``--budget 300`` on the two-state chain,
-whose random trials span two chunks of ``SCAN_CHUNK`` (256) candidates,
-and ``rate --kind kow --nmax 30`` and ``rate --kind afl --nmax 30`` on a
-``{"uniform": 1}`` partition, whose one word never passes a cap, so that
-only the depth bound of the caps stops them (at depths 22 and 13);
-then, in every format, the rate estimates: ``--units bits`` on ``rate``
-(each kind), ``compare``, ``report``, ``cnt`` and ``sup``, a ``rate
---nmax 1`` whose estimate is null, ``sup --kind kow --nmax 3`` on the
-three-state doubly stochastic chain with ``--word-cap 4``, where the
-partition into singletons stops at depth 2, before any candidate can be
-ranked, and with ``--word-cap 9``, where it stops at depth 3, so that all
-five candidates are ranked at depth 2, which both exit 3, and ``compare``
-and ``report`` with ``--word-cap 4 --nmax 3``, where every kind stops at
-depth 3 and the command exits 3.
+line per run.  The hash covers the exit code, stdout and stderr.  The runs,
+by category, in the order they run; the three error categories run
+interleaved:
+
+- Fixtures: every command on every fixture system and partition, in json,
+  csv and table format.
+- Workloads: every op that ``bench/workloads.generate`` builds for seeds 1-3.
+- Error paths that exit 1: an unknown command; malformed numeric fields in
+  a system and a partition; ``--out`` to a directory that does not exist;
+  each setting a command does not read (``--units``, ``--word-cap`` and
+  ``--dim-cap`` on ``validate``, the two caps on ``cnt``, ``--dim-cap``
+  and ``--units`` on ``sample``); one --partition count outside each
+  command's range (``validate`` with 9; ``rate``, ``compare``, ``report``
+  and ``sample`` with 0 and 2; ``cnt`` with 0 and 3; ``sup`` with 1, which
+  takes none); and four system files that must fail before any
+  allocation: one that is not UTF-8, one with an integer literal longer
+  than Python's 4 300-digit int-string limit, one with an integer beyond
+  float range and one nested 100 000 arrays deep, past the JSON parser's
+  recursion limit.
+- Error paths that exit 2: a transition row that does not sum to 1; a
+  negative ``--seed`` for ``sample`` and ``cnt``; a ``cnt --cap`` of 0 and
+  of -1; a word or dimension cap below 1 (``rate --kind afl --word-cap 0``,
+  ``rate --kind hud --dim-cap 0``, ``report --dim-cap -1``, ``sample
+  --word-cap 0``); a partition ``{"uniform": 99999999999}``, whose count
+  exceeds the default word cap; and ``sample --samples 10**20``, beyond the
+  int64 range of the counts.
+- Error paths that exit 3: ``rate --kind afl --nmax 12`` and ``rate --kind
+  afl --word-cap 2 --nmax 3``, which stop at depths 12 and 2; ``cnt`` on a
+  760-state ``{"bernoulli": ...}`` system, whose 760^1520 map tuples have
+  too many digits to print and are written as a power; ``sample --depth
+  4300`` of a ``{"uniform": 10}`` partition under a ``--word-cap`` of
+  4 300 digits, whose 10^4300 words have one digit too many to print and
+  are written as a power; and ``sup --kind kow --word-cap 1 --nmax 3`` on
+  the three-state doubly stochastic chain, where the partition into
+  singletons stops before depth 2.
+- Degenerate shapes: ``cnt`` on a one-state system, whose decompositions
+  have index sizes (1, 1) and which has one identification; ``cnt`` on a
+  three-state system whose third state has stationary mass 1e-16, so that
+  marginal weight sums fall in (0, PRUNE_TOL] and are pruned; ``cnt`` with
+  ``--budget 300`` on the two-state chain, whose random trials span two
+  chunks of ``SCAN_CHUNK`` (256) candidates; and ``rate --kind kow --nmax
+  30`` and ``rate --kind afl --nmax 30`` on a ``{"uniform": 1}``
+  partition, whose one word never passes a cap, so that only the depth
+  bound of the caps stops them (at depths 22 and 13, exit 3).
+- Rate estimates, in every format: ``--units bits`` on ``rate`` (each
+  kind), ``compare``, ``report``, ``cnt`` and ``sup``; a ``rate --nmax 1``
+  whose estimate is null; ``sup --kind kow --nmax 3`` on the three-state
+  doubly stochastic chain with ``--word-cap 4``, where the partition into
+  singletons stops at depth 2, before any candidate can be ranked, and
+  with ``--word-cap 9``, where it stops at depth 3, so that all five
+  candidates are ranked at depth 2; ``sup --kind afl --dim-cap 9 --nmax 3``
+  on the same chain, whose singletons' ``afl`` side of 3^2 = 9 fits and of
+  27 does not, so that every candidate is ranked at depth 2 on the
+  ``dim_cap`` path; and ``compare`` and ``report`` with ``--word-cap 4
+  --nmax 3``, where every kind stops at depth 3.  The ``--units bits``
+  and ``--nmax 1`` runs exit 0, the others 3.
+
 After these in-process runs, every
 ``demos/*.py`` runs as a subprocess with ``PYTHONPATH=<src>`` and the
 pinned BLAS environment, and prints one ``sha256  demos/<name>`` line over
@@ -246,6 +255,7 @@ def estimate_argvs():
         for cap in ("4", "9"):
             yield ["sup", "--system", DOUBLY, "--kind", "kow", "--nmax", "3", "--word-cap", cap,
                    *tail]
+        yield ["sup", "--system", DOUBLY, "--kind", "afl", "--nmax", "3", "--dim-cap", "9", *tail]
         for command in ("compare", "report"):
             yield [command, *head, "--word-cap", "4", "--nmax", "3", *tail]
 
