@@ -18,7 +18,7 @@ from entropy_lab import (
     make_markov,
     sharp_partition,
 )
-from entropy_lab.decompositions import _identification_decomposition
+from entropy_lab.decompositions import _identifications
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
     best, count = 0.0, 0
     for assignment in itertools.product(range(3), repeat=3):
         # the map x -> assignment[x] splits mu into its level sets
-        dec = _identification_decomposition(mu, (assignment,), (3,))
+        dec = _identifications(mu, [(assignment,)], (3,))[0]
         best = max(best, cnt_functional(mu, dec, [f]))
         count += 1
     print(f"one time: closed form {closed:.12f}")
@@ -46,7 +46,7 @@ def main():
         for a1 in range(3):
             # identify states x1, x2 at both times, vary where x0 goes
             assignments = ((a0, 1, 1), (a1, 1, 1))
-            dec = _identification_decomposition(mu, assignments, (3, 3))
+            dec = _identifications(mu, [assignments], (3, 3))[0]
             value = cnt_functional(mu, dec, (f, f))
             values.append(value)
             print(f"  maps {assignments}: {value:+.12f}")

@@ -41,6 +41,7 @@ from .dynamical import (
     entropy_sequence,
     sup_over_sharp,
 )
+from .entropy import MI_FORM_TOL
 from .partitions import (
     DEFAULT_WORD_CAP,
     distribution,
@@ -57,7 +58,6 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_INEQUALITY = 4
 
-ORDER_TOL = 1e-9
 _KIND_NAMES = [k.value for k in EntropyKind]
 
 
@@ -254,7 +254,7 @@ def cmd_rate(args, system, parts):
 def _ordering_violations(seqs: dict, n: int, units: str) -> list:
     """Check hud <= mak and hud <= afl <= kow at 0-based depth index n.
 
-    The check is in nats against ``ORDER_TOL``; a violation reports its values in ``units``.
+    The check is in nats against ``MI_FORM_TOL``; a violation reports its values in ``units``.
     """
     hud = seqs[EntropyKind.HUD].values
     mak = seqs[EntropyKind.MAK].values
@@ -266,7 +266,7 @@ def _ordering_violations(seqs: dict, n: int, units: str) -> list:
         ("hud<=afl", hud[n], afl[n]),
         ("afl<=kow", afl[n], kow[n]),
     ):
-        if low > high + ORDER_TOL:
+        if low > high + MI_FORM_TOL:
             out.append({
                 "depth": n + 1,
                 "check": name,

@@ -10,11 +10,13 @@ marginals.
 
 Every decomposition built from a response matrix g is the one g induces,
 weights mu(g_a) and components mu * g_a / mu(g_a), built for a stack of g
-and checked once by ``_induced_stack``.  ``_cnt_value`` evaluates the
-decomposition functional in one fused pass, each marginal's information
-through ``_information``.  Pruning is the policy of the marginals: they
-drop indices of weight below ``PRUNE_TOL``, which add nothing to any
-entropy (eta is continuous at 0) and would force divisions by ~0.
+and checked once by ``_induced_stack``; ``_identifications`` builds map
+tuples' decompositions through it.  Each quantity has one implementation:
+``_information`` the information an index carries about an outcome, checked
+in two forms (``dynamical.hud_functional`` and each marginal of ``_cnt_value``
+call it), and ``_defect`` the entropy defect.  Marginals drop indices of
+weight below ``PRUNE_TOL``, which add nothing to any entropy (eta is
+continuous at 0) and would force divisions by ~0.
 
 Marginals repeat across an identification scan.  The time-0 marginal of the
 decomposition of a map pair (a, b) is induced by a alone and the time-1
@@ -177,10 +179,10 @@ def _induced_stack(muv: np.ndarray, responses: np.ndarray, sizes) -> list[Decomp
     return _checked_stack(weights / weights.sum(axis=1, keepdims=True), components, sizes)
 
 
-def _identification_decomposition(mu, assignments, sizes) -> Decomposition:
-    """The identification decomposition of one outcome map per time index."""
-    codes = np.ravel_multi_index(assignments, sizes)
-    return _induced_stack(mu, np.eye(math.prod(sizes))[codes[None, :]], sizes)[0]
+def _identifications(muv: np.ndarray, maps, sizes) -> list[Decomposition]:
+    """Decompositions that a stack of map tuples (m, time indices, states) induces."""
+    codes = np.ravel_multi_index(tuple(np.moveaxis(maps, 1, 0)), sizes)
+    return _induced_stack(muv, np.eye(math.prod(sizes))[codes], sizes)
 
 
 def _other_axes(arity: int) -> list[tuple[int, ...]]:
@@ -217,8 +219,19 @@ def _marginals(
     return marginals
 
 
-def _defect(sum_etas, weight_etas: np.ndarray) -> float:
-    """``entropy_defect`` from ``_eta`` of each axis' weight sums and of the weights."""
+def _etas(pieces: list[np.ndarray]) -> list[np.ndarray]:
+    """``_eta`` of each piece from one elementwise call, each returned in its own shape."""
+    flat = _eta(np.concatenate(pieces, axis=None))
+    etas, start = [], 0
+    for piece in pieces:
+        etas.append(flat[start : start + piece.size].reshape(piece.shape))
+        start += piece.size
+    return etas
+
+
+def _defect(axis_sums: list[np.ndarray], weights: np.ndarray) -> float:
+    """``entropy_defect`` of the weights from their axis sums, with one ``_etas`` call."""
+    *sum_etas, weight_etas = _etas([*axis_sums, weights])
     total = 0.0
     for etas in sum_etas:
         total += float(etas.sum())
@@ -231,20 +244,10 @@ def entropy_defect(decomposition: Decomposition) -> float:
     Zero exactly when the weight tensor is a product measure; the joint
     entropy never exceeds the sum of its marginals, so the defect is >= 0
     up to floating point noise.  The weights were checked at construction,
-    so the entropies sum the unchecked ``_eta`` directly.
+    so ``_defect`` sums the unchecked ``_eta`` directly.
     """
     w = decomposition.weights
-    return _defect([_eta(sums) for sums in _axis_sums(w, decomposition.index_sizes)], _eta(w))
-
-
-def _etas(pieces: list[np.ndarray]) -> list[np.ndarray]:
-    """``_eta`` of each piece from one elementwise call, each returned in its own shape."""
-    flat = _eta(np.concatenate(pieces, axis=None))
-    etas, start = [], 0
-    for piece in pieces:
-        etas.append(flat[start : start + piece.size].reshape(piece.shape))
-        start += piece.size
-    return etas
+    return _defect(_axis_sums(w, decomposition.index_sizes), w)
 
 
 def _information(weights: np.ndarray, base: np.ndarray, outcome_rows: np.ndarray) -> float:
@@ -295,10 +298,8 @@ def _cnt_value(
 
     The marginals share one weighted product (``_marginals``).  Each marginal's
     information comes from ``_marginal_information``, through the memo that
-    ``_MARGINALS`` holds inside an identification scan, and the defect from one
-    ``_eta`` call over each axis' weight sums and the joint weights.  ``_eta`` is
-    elementwise and every sum reduces a view of the shape a separate ``_eta`` call
-    would return, so each entropy is the same float as when evaluated alone.
+    ``_MARGINALS`` holds inside an identification scan, and the defect from
+    ``_defect`` on the axis sums the marginals were pruned from.
     """
     axis_sums = _axis_sums(weights, sizes)
     marginals = _marginals(weights, components, sizes, axis_sums)
@@ -306,5 +307,4 @@ def _cnt_value(
     total = 0.0
     for (marg_w, marg_c), matrix in zip(marginals, matrices):
         total += _marginal_information(memo, marg_w, muv @ matrix, marg_c @ matrix)
-    *sum_etas, weight_etas = _etas([*axis_sums, weights])
-    return total - _defect(sum_etas, weight_etas)
+    return total - _defect(axis_sums, weights)

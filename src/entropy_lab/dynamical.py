@@ -30,7 +30,9 @@ from .decompositions import (
     _MARGINALS,
     Decomposition,
     _cnt_value,
+    _identifications,
     _induced_stack,
+    _information,
     trivial_decomposition,
 )
 from .entropy import MI_FORM_TOL, _eta, as_prob_vector, von_neumann_entropy
@@ -82,16 +84,16 @@ class EntropyKind(enum.Enum):
 def hud_functional(mu, f) -> float:
     """Average information outcomes carry about the underlying state.
 
-    S(mu o f) - sum_x mu_x S(delta_x o f); equals the weighted relative
-    entropy of the point outcome rows against the mean row, so it is
-    non-negative and bounded by S(mu).  It is also the one-time decomposition
-    entropy: the supremum of ``cnt_functional(mu, dec, [f])``, attained at extremal
-    decompositions, which the oracle ``extremal_maximum`` in ``tests/oracles.py`` scans.
+    S(mu o f) - sum_x mu_x S(delta_x o f), by ``_information``, which checks it against
+    the relative entropy of the point outcome rows to the mean row, weighted by mu; so it
+    is non-negative and bounded by S(mu).  It is also the one-time decomposition entropy:
+    the supremum of ``cnt_functional(mu, dec, [f])``, attained at extremal decompositions,
+    which the oracle ``extremal_maximum`` in ``tests/oracles.py`` scans.
     """
     muv = as_prob_vector(mu, "mu")
     matrix = _response_of(f, muv.shape[0])
-    point_entropies = _eta(matrix).sum(axis=1)
-    return float(_eta(muv @ matrix).sum()) - float(muv @ point_entropies)
+    rows = slice(None) if muv.all() else muv > 0.0  # a massless row may leave mu o f's support
+    return _information(muv[rows], muv @ matrix, matrix[rows])
 
 
 def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
@@ -135,15 +137,14 @@ def _candidates(mu, n: int, budget: int, seed: int):
     range(n) -> range(n) in lexicographic order; then ``budget`` random
     decompositions, keyed by trial number, each induced by n Dirichlet rows
     over the n * n cells from ``SeedSequence(seed)``.  Each chunk holds at
-    most ``SCAN_CHUNK`` candidates, built by one ``_induced_stack`` call.
+    most ``SCAN_CHUNK`` candidates, built as one stack: the map pairs by
+    ``decompositions._identifications``, the draws by ``_induced_stack``.
     """
     sizes = (n, n)
-    one_hot = np.eye(n * n)
     single_maps = list(itertools.product(range(n), repeat=n))
     map_pairs = itertools.product(single_maps, repeat=2)
     while chunk := list(itertools.islice(map_pairs, SCAN_CHUNK)):
-        codes = np.ravel_multi_index(tuple(np.array(chunk).transpose(1, 0, 2)), sizes)
-        yield "identification", chunk, _induced_stack(mu, one_hot[codes], sizes)
+        yield "identification", chunk, _identifications(mu, chunk, sizes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for start in range(0, budget, SCAN_CHUNK):
         trials = range(start, min(start + SCAN_CHUNK, budget))
@@ -339,8 +340,6 @@ def _sequence_value(
     if kind is EntropyKind.AFL:
         # The afl state is indexed by the k^N words, so both caps bound it.
         return von_neumann_entropy(rho_afl(system, f, depth, dim_cap=min(word_cap, dim_cap)))
-    if kind not in (EntropyKind.HUD, EntropyKind.MAK, EntropyKind.KOW):
-        raise ValidationError(f"unknown entropy kind {kind!r}")
     mu = system.stationary
     refined = refine_afl(system, f, depth, word_cap=word_cap)
     if kind is EntropyKind.HUD:
@@ -369,9 +368,13 @@ def entropy_sequence(
     ``word_cap`` bounds the k^N words of every kind, ``afl`` included, whose
     state is indexed by words.  Both caps must be at least 1 for every kind.
 
-    The word-distribution and operational-state kinds are nondecreasing in
-    depth; a decrease beyond 1e-9 would mean an internal fault and raises.
+    ``hud``, ``afl`` and ``kow`` are nondecreasing in depth, ``hud`` by data processing:
+    summing the depth-N elements over the last symbol gives the depth-(N - 1) ones, as
+    f's rows sum to 1 and T is unital.  A decrease beyond ``MI_FORM_TOL`` means an
+    internal fault and raises; ``mak``, with no such proof, is not checked.
     """
+    if not isinstance(kind, EntropyKind):
+        raise ValidationError(f"unknown entropy kind {kind!r}")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     for name, cap in (("word_cap", word_cap), ("dim_cap", dim_cap)):
@@ -385,7 +388,7 @@ def entropy_sequence(
         except CapExceededError:
             truncated_at = depth
             break
-    if kind in (EntropyKind.AFL, EntropyKind.KOW):
+    if kind is not EntropyKind.MAK:
         for i in range(1, len(values)):
             if values[i] < values[i - 1] - MI_FORM_TOL:
                 raise InequalityViolationError(

@@ -26,11 +26,7 @@ __all__ = ["LN2", "Report", "fmt", "convert_units"]
 
 def fmt(value) -> str:
     """Render one cell: floats at 17 significant digits, the rest via str."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".17g")
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})

@@ -37,7 +37,7 @@ from entropy_lab import (
 )
 from entropy_lab._errors import DocumentError, ValidationError
 from entropy_lab.cli import main as cli_main
-from entropy_lab.decompositions import _identification_decomposition
+from entropy_lab.decompositions import _identifications
 from entropy_lab.partitions import distribution
 from entropy_lab.reports import LN2
 
@@ -197,7 +197,7 @@ def test_criterion_07_one_time_functional_closed_form():
                     assert abs(cnt_functional(mu, two, [f, f])) <= 1e-12
                     if n <= 3:
                         best = max(
-                            cnt_functional(mu, _identification_decomposition(mu, (a,), (n,)), [f])
+                            cnt_functional(mu, _identifications(mu, [(a,)], (n,))[0], [f])
                             for a in itertools.product(range(n), repeat=n)
                         )
                         assert abs(best - closed) <= 1e-9
@@ -208,7 +208,7 @@ def test_criterion_08_two_time_functional_goes_negative():
         system = _fixture_system("three_state_doubly")
         f = _fixture_partition("three_split", system)
         mu = system.stationary
-        witness = _identification_decomposition(mu, ((0, 1, 1), (0, 1, 1)), (3, 3))
+        witness = _identifications(mu, [((0, 1, 1), (0, 1, 1))], (3, 3))[0]
         value = cnt_functional(mu, witness, (f, f))
         assert value < -1e-6
         assert abs(value - WITNESS_VALUE) <= 1e-9

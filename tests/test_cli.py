@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entropy_lab as el
@@ -944,6 +945,9 @@ class TestReportHelpers:
         assert fmt(True) == "True"
         assert fmt("word") == "word"
         assert fmt(0.1) == "0.10000000000000001"
+        assert fmt(np.float64(0.1)) == "0.10000000000000001"
+        assert fmt(np.int64(3)) == "3"
+        assert fmt(None) == "None"
 
     def test_convert_units(self):
         assert convert_units(LN2, "bits") == 1.0

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from entropy_lab import (
     dynamical,
 )
 from entropy_lab.cli import _estimate_doc
-from entropy_lab.decompositions import PRUNE_TOL, Decomposition, _identification_decomposition
+from entropy_lab.decompositions import PRUNE_TOL, Decomposition, _identifications
 from entropy_lab.dynamical import (
     DEFAULT_DIM_CAP,
     DEFAULT_ENUMERATION_CAP,
@@ -128,6 +129,26 @@ class TestHudFunctional:
                 conditional_information(mu, part.response), abs=1e-12
             )
 
+    def test_form_disagreement_raises(self, two_state_chain, blur_partition):
+        """Every hud value passes the two-form check of ``decompositions._information``."""
+        real = decompositions.relative_entropy_rows
+        with mock.patch.object(
+            decompositions, "relative_entropy_rows", lambda rows, q: real(rows, q) + 1e-6
+        ):
+            with pytest.raises(InequalityViolationError, match="forms disagree"):
+                el.hud_functional(two_state_chain.stationary, blur_partition)
+
+    def test_massless_state_is_left_out(self):
+        # The massless last state's row reaches an outcome that mu o f never shows, so its
+        # relative entropy is infinite; it carries no information and raises no warning.
+        mu = [0.25, 0.75, 0.0]
+        rows = [[0.2, 0.8, 0.0], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert el.hud_functional([1.0, 0.0], el.sharp_partition([[0], [1]], 2)) == 0.0
+            alone = el.hud_functional(mu[:2], el.PartitionOfUnity(rows[:2]))
+            assert el.hud_functional(mu, el.PartitionOfUnity(rows)) == alone > 0.0
+
 
 class TestCntFunctional:
     def test_trivial_is_exact_zero(self, doubly_stochastic):
@@ -140,9 +161,7 @@ class TestCntFunctional:
 
     def test_frozen_negative_witness(self, doubly_stochastic):
         part = el.sharp_partition([[0, 1], [2]], 3)
-        dec = _identification_decomposition(
-            doubly_stochastic.stationary, ((0, 1, 1), (0, 1, 1)), (3, 3)
-        )
+        dec = _identifications(doubly_stochastic.stationary, [((0, 1, 1), (0, 1, 1))], (3, 3))[0]
         value = el.cnt_functional(doubly_stochastic.stationary, dec, [part, part])
         assert value == pytest.approx(WITNESS_VALUE, abs=1e-12)
 
@@ -153,7 +172,7 @@ class TestCntFunctional:
         mu = np.array([0.15, 0.3, 0.2, 0.35, 0.0])
         maps = ((0, 0, 2, 2, 4), (1, 3, 1, 1, 4))
         codes = np.ravel_multi_index(maps, (5, 5))
-        dec = _identification_decomposition(mu, maps, (5, 5))
+        dec = _identifications(mu, [maps], (5, 5))[0]
         counts = np.bincount(codes, weights=mu, minlength=25)
         assert dec.index_sizes == (5, 5)
         assert np.array_equal(dec.weights, counts / counts.sum())
@@ -194,7 +213,7 @@ def cnt_cases(draw):
     family = draw(st.sampled_from(("one_index", "two_index", "identification")))
     if family == "identification":
         maps = tuple(tuple(rng.integers(0, n, size=n).tolist()) for _ in range(2))
-        dec = _identification_decomposition(mu, maps, (n, n))
+        dec = _identifications(mu, [maps], (n, n))[0]
     else:
         sizes = (int(rng.integers(1, 5)),)
         if family == "two_index":
@@ -220,7 +239,7 @@ def _prune_case():
 def _zero_index_case():
     # Both maps miss outcomes: the joint and both marginals hold exact zeros.
     mu = np.array([0.2, 0.3, 0.5])
-    dec = _identification_decomposition(mu, ((0, 0, 2), (1, 1, 1)), (3, 3))
+    dec = _identifications(mu, [((0, 0, 2), (1, 1, 1))], (3, 3))[0]
     f = el.PartitionOfUnity([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
     return mu, dec, [f, el.sharp_partition([[0], [1], [2]], 3)]
 
@@ -346,6 +365,34 @@ def onetime_cases(draw):
     return draw(systems(n)), draw(partitions(n))
 
 
+class TestIdentifications:
+    """One builder makes every identification decomposition, the scan's included."""
+
+    @pytest.mark.parametrize(
+        "mu", [[1.0], [0.4, 0.6], [0.2, 0.3, 0.5], [0.3, 0.0, 0.7]], ids=lambda mu: str(mu)
+    )
+    def test_stack_equals_the_scan_chunks_and_the_one_tuple_builds(self, mu):
+        mu = np.array(mu)
+        n = mu.shape[0]
+        sizes = (n, n)
+        pairs = list(itertools.product(itertools.product(range(n), repeat=n), repeat=2))
+        stack = _identifications(mu, pairs, sizes)
+        with mock.patch.object(dynamical, "SCAN_CHUNK", 7):
+            scanned = [
+                (key, dec)
+                for _, keys, decs in dynamical._candidates(mu, n, 0, 0)
+                for key, dec in zip(keys, decs)
+            ]
+        assert [key for key, _ in scanned] == pairs
+        for pair, built, (_, chunked) in zip(pairs, stack, scanned, strict=True):
+            response = np.eye(n * n)[np.ravel_multi_index(pair, sizes)]
+            expected = induced_decomposition(mu, response, sizes)
+            for dec in (built, chunked, _identifications(mu, [pair], sizes)[0]):
+                assert dec.index_sizes == sizes
+                assert np.array_equal(dec.weights, expected.weights)
+                assert np.array_equal(dec.components, expected.components)
+
+
 class TestCntOnetime:
     def test_brute_force_agrees(self):
         rng = np.random.default_rng(71)
@@ -363,7 +410,7 @@ class TestCntOnetime:
         mu, n = system.stationary, system.n_states
         closed = el.hud_functional(mu, f)
         values = {
-            a: el.cnt_functional(mu, _identification_decomposition(mu, (a,), (n,)), [f])
+            a: el.cnt_functional(mu, _identifications(mu, [(a,)], (n,))[0], [f])
             for a in itertools.product(range(n), repeat=n)
         }
         assert abs(max(values.values()) - closed) <= 1e-9
@@ -719,6 +766,18 @@ class TestEntropySequence:
             seq = el.entropy_sequence(two_state_chain, coin_extremal, kind, 4)
             assert np.max(np.abs(seq.values - S_MU_CHAIN)) <= 1e-10
 
+    def test_a_hud_decrease_raises(self, two_state_chain, blur_partition):
+        values = iter([0.3, 0.2])
+        with mock.patch.object(dynamical, "hud_functional", lambda mu, refined: next(values)):
+            with pytest.raises(InequalityViolationError, match="hud sequence decreased at depth 2"):
+                el.entropy_sequence(two_state_chain, blur_partition, el.EntropyKind.HUD, 2)
+
+    def test_a_mak_decrease_is_not_checked(self, two_state_chain, blur_partition):
+        values = iter([0.3, 0.2])
+        with mock.patch.object(dynamical, "von_neumann_entropy", lambda side: next(values)):
+            seq = el.entropy_sequence(two_state_chain, blur_partition, el.EntropyKind.MAK, 2)
+        assert list(seq.values) == [0.3, 0.2]
+
 
     def test_dim_cap_bounds_the_diagonalized_side(self, two_state_chain, blur_partition):
         # mak diagonalizes the 2 x 2 side; afl diagonalizes its 2^N word side.
@@ -950,7 +1009,7 @@ class TestSequenceValues:
         kow = el.entropy_sequence(system, part, el.EntropyKind.KOW, depth).values
         for n in range(1, depth + 1):
             refined = el.refine_afl(system, part, n)
-            assert hud[n - 1] == el.hud_functional(mu, refined)
+            assert hud[n - 1].hex() == el.hud_functional(mu, refined).hex()
             assert kow[n - 1] == el.shannon_entropy(el.distribution(mu, refined))
 
     def test_unknown_kind_raises_before_refining(
