@@ -14,9 +14,13 @@ and checked once by ``_induced_stack``; ``_identifications`` builds map
 tuples' decompositions through it.  Each quantity has one implementation:
 ``_information`` the information an index carries about an outcome, checked
 in two forms (``dynamical.hud_functional`` and each marginal of ``_cnt_value``
-call it), and ``_defect`` the entropy defect.  Marginals drop indices of
-weight below ``PRUNE_TOL``, which add nothing to any entropy (eta is
-continuous at 0) and would force divisions by ~0.
+call it), and ``_stack_terms`` the marginals and the entropy defect.  Those
+two depend on the decomposition alone, not on mu or a partition, so they are
+computed once per checked stack, for all its rows together, and each
+``Decomposition`` carries its row (a public one is a stack of one); a
+``cnt_functional`` call then pays only for the information terms.  Marginals
+drop indices of weight below ``PRUNE_TOL``, which add nothing to any entropy
+(eta is continuous at 0) and would force divisions by ~0.
 
 Marginals repeat across an identification scan.  The time-0 marginal of the
 decomposition of a map pair (a, b) is induced by a alone and the time-1
@@ -63,13 +67,16 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Decomposition:
     """Weights and component measures of a finite convex decomposition.
 
     ``index_sizes`` shapes the component index as a product of index sets,
     flat in C order (last index fastest); it defaults to one index over all
-    components.
+    components.  Construction also computes the decomposition's marginals and
+    entropy defect as a stack of one: ``_terms`` is the pair (stack terms, row)
+    that ``_row_terms`` reads (see ``_stack_terms``).  The fields are frozen, so
+    those terms always belong to the weights and components beside them.
     """
 
     weights: np.ndarray
@@ -89,14 +96,16 @@ class Decomposition:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", c)
         object.__setattr__(self, "index_sizes", sizes)
+        object.__setattr__(self, "_terms", (_stack_terms(w[None], c[None], sizes), 0))
 
     @classmethod
-    def _wrap(cls, weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...]):
-        """Decomposition of read-only arrays the caller checked, not checked again."""
+    def _wrap(cls, weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...], terms):
+        """Decomposition of read-only arrays the caller checked, and its ``_terms``."""
         decomposition = object.__new__(cls)
-        decomposition.weights = weights
-        decomposition.components = components
-        decomposition.index_sizes = sizes
+        object.__setattr__(decomposition, "weights", weights)
+        object.__setattr__(decomposition, "components", components)
+        object.__setattr__(decomposition, "index_sizes", sizes)
+        object.__setattr__(decomposition, "_terms", terms)
         return decomposition
 
     @property
@@ -144,7 +153,8 @@ def _checked_stack(weights, components, index_sizes) -> list[Decomposition]:
     ``as_stochastic_matrix``, the row check ``Decomposition`` applies to
     each of its rows, and the index sizes are checked once; so the stack is
     accepted exactly when each ``Decomposition(weights[i], components[i],
-    index_sizes)`` would be.  The rows are then wrapped unchecked.
+    index_sizes)`` would be.  The rows are then wrapped unchecked, each
+    with its row of ``_stack_terms``, computed for the whole stack at once.
     """
     w = as_stochastic_matrix(weights, "weights")
     c = np.asarray(components, dtype=float)
@@ -154,7 +164,11 @@ def _checked_stack(weights, components, index_sizes) -> list[Decomposition]:
     sizes = _index_sizes(index_sizes, w.shape[1])
     w.setflags(write=False)
     c.setflags(write=False)
-    return [Decomposition._wrap(w_row, c_rows, sizes) for w_row, c_rows in zip(w, c)]
+    stack = _stack_terms(w, c, sizes)
+    return [
+        Decomposition._wrap(w_row, c_rows, sizes, (stack, row))
+        for row, (w_row, c_rows) in enumerate(zip(w, c))
+    ]
 
 
 def trivial_decomposition(mu, arity: int = 1) -> Decomposition:
@@ -185,57 +199,62 @@ def _identifications(muv: np.ndarray, maps, sizes) -> list[Decomposition]:
     return _induced_stack(muv, np.eye(math.prod(sizes))[codes], sizes)
 
 
-def _other_axes(arity: int) -> list[tuple[int, ...]]:
-    """For each index axis, the other axes its marginal sums over."""
-    axes = tuple(range(arity))
-    return [axes[:axis] + axes[axis + 1 :] for axis in axes]
+def _pruned_marginals(sums: np.ndarray, summed: np.ndarray) -> tuple:
+    """One axis' marginal decompositions of every row of a stack, row after row.
 
-
-def _axis_sums(weights: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Weight sums of every index axis, neither pruned nor renormalized."""
-    joint = weights.reshape(sizes)
-    return [joint.sum(axis=other) for other in _other_axes(len(sizes))]
-
-
-def _marginals(
-    weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...], axis_sums
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Weights and components of every axis' marginal decomposition, from one product.
-
-    ``weights[:, None] * components`` is formed once and summed over the
-    other axes of each axis.  The indices whose weight sum is above
-    PRUNE_TOL are kept: their sums, renormalized, are the marginal weights,
-    and their summed products divided by the sums are the components.
+    ``sums`` (m, size) holds each row's weight sums over the axis' indices and
+    ``summed`` (m, size, states) their summed products weights * components.
+    The indices whose sum is above PRUNE_TOL are kept, in order: their sums,
+    renormalized, are the marginal weights, and their summed products divided
+    by the sums are the components.  Returns the weights and the components of
+    all rows, row after row, and the row bounds: row i's marginal is the block
+    ``bounds[i]:bounds[i + 1]`` of both.  Each row is renormalized by the sum of
+    its kept sums alone, taken for all rows that keep as many indices as one
+    block, so it is the float the row's own sum gives.
     """
-    wc = (weights[:, None] * components).reshape(*sizes, components.shape[1])
-    marginals = []
-    for other, sums in zip(_other_axes(len(sizes)), axis_sums):
-        summed = wc.sum(axis=other)
-        keep = sums > PRUNE_TOL
-        sums, summed = sums[keep], summed[keep]
-        if sums.size == 0:
-            raise ValidationError("marginal lost all its mass")
-        marginals.append((sums / sums.sum(), summed / sums[:, None]))
-    return marginals
+    keep = sums > PRUNE_TOL
+    counts = keep.sum(axis=1)
+    if not counts.all():
+        raise ValidationError("marginal lost all its mass")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    kept = sums[keep]
+    totals = np.empty(counts.shape)
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        totals[rows] = kept[bounds[rows, None] + np.arange(count)].sum(axis=1)
+    return kept / np.repeat(totals, counts), summed[keep] / kept[:, None], bounds.tolist()
 
 
-def _etas(pieces: list[np.ndarray]) -> list[np.ndarray]:
-    """``_eta`` of each piece from one elementwise call, each returned in its own shape."""
-    flat = _eta(np.concatenate(pieces, axis=None))
-    etas, start = [], 0
-    for piece in pieces:
-        etas.append(flat[start : start + piece.size].reshape(piece.shape))
-        start += piece.size
-    return etas
+def _stack_terms(weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...]) -> tuple:
+    """The terms no partition enters, for every row of a checked stack at once.
+
+    ``weights`` is (m, prod(sizes)) and ``components`` (m, prod(sizes), states).
+    Returns ``(per_axis, defects)``: per index axis, the marginals of all rows
+    from ``_pruned_marginals``, and per row the entropy defect sum_axis S(axis
+    weight sums) - S(weights) as a float.  Each axis' weight sums and summed
+    products ``weights * components`` come from one stacked sum over its other
+    axes, so every row gets the floats it would get as a stack of one.
+    """
+    m = weights.shape[0]
+    joint = weights.reshape(m, *sizes)
+    products = (weights[:, :, None] * components).reshape(m, *sizes, components.shape[2])
+    axes = range(1, len(sizes) + 1)
+    defects = np.zeros(m)
+    per_axis = []
+    for axis in axes:
+        others = tuple(other for other in axes if other != axis)
+        sums = joint.sum(axis=others)
+        defects += _eta(sums).sum(axis=1)
+        per_axis.append(_pruned_marginals(sums, products.sum(axis=others)))
+    defects -= _eta(weights).sum(axis=1)
+    return per_axis, defects.tolist()
 
 
-def _defect(axis_sums: list[np.ndarray], weights: np.ndarray) -> float:
-    """``entropy_defect`` of the weights from their axis sums, with one ``_etas`` call."""
-    *sum_etas, weight_etas = _etas([*axis_sums, weights])
-    total = 0.0
-    for etas in sum_etas:
-        total += float(etas.sum())
-    return total - float(weight_etas.sum())
+def _row_terms(terms) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """The marginals, (weights, components) per axis, and the defect of a ``_terms`` pair."""
+    (per_axis, defects), row = terms
+    marginals = [(w[b[row] : b[row + 1]], c[b[row] : b[row + 1]]) for w, c, b in per_axis]
+    return marginals, defects[row]
 
 
 def entropy_defect(decomposition: Decomposition) -> float:
@@ -243,11 +262,10 @@ def entropy_defect(decomposition: Decomposition) -> float:
 
     Zero exactly when the weight tensor is a product measure; the joint
     entropy never exceeds the sum of its marginals, so the defect is >= 0
-    up to floating point noise.  The weights were checked at construction,
-    so ``_defect`` sums the unchecked ``_eta`` directly.
+    up to floating point noise.  It is the defect ``_stack_terms`` computed
+    when the decomposition was built.
     """
-    w = decomposition.weights
-    return _defect(_axis_sums(w, decomposition.index_sizes), w)
+    return _row_terms(decomposition._terms)[1]
 
 
 def _information(weights: np.ndarray, base: np.ndarray, outcome_rows: np.ndarray) -> float:
@@ -257,8 +275,7 @@ def _information(weights: np.ndarray, base: np.ndarray, outcome_rows: np.ndarray
     sum_a w_a S(mu_a o f | mu o f) agrees within ``MI_FORM_TOL``, and raises otherwise.
     ``base`` is mu o f and ``outcome_rows`` each component's outcome law.
     """
-    base_etas, row_etas = _etas([base, outcome_rows])
-    difference_form = float(base_etas.sum()) - float(weights @ row_etas.sum(axis=1))
+    difference_form = float(_eta(base).sum()) - float(weights @ _eta(outcome_rows).sum(axis=1))
     relative_form = float(weights @ relative_entropy_rows(outcome_rows, base))
     if abs(difference_form - relative_form) > MI_FORM_TOL:
         raise InequalityViolationError(
@@ -287,24 +304,17 @@ def _marginal_information(memo, weights: np.ndarray, base: np.ndarray, rows: np.
     return information
 
 
-def _cnt_value(
-    muv: np.ndarray,
-    weights: np.ndarray,
-    components: np.ndarray,
-    sizes: tuple[int, ...],
-    matrices: list[np.ndarray],
-) -> float:
-    """``cnt_functional`` of checked arrays in one pass.
+def _cnt_value(muv: np.ndarray, terms, matrices: list[np.ndarray]) -> float:
+    """``cnt_functional`` of a checked mu, a decomposition's ``_terms`` and response matrices.
 
-    The marginals share one weighted product (``_marginals``).  Each marginal's
-    information comes from ``_marginal_information``, through the memo that
-    ``_MARGINALS`` holds inside an identification scan, and the defect from
-    ``_defect`` on the axis sums the marginals were pruned from.
+    The marginals and the defect were computed with the decomposition's stack, so
+    only the information terms remain: each marginal's comes from
+    ``_marginal_information``, through the memo that ``_MARGINALS`` holds inside an
+    identification scan.
     """
-    axis_sums = _axis_sums(weights, sizes)
-    marginals = _marginals(weights, components, sizes, axis_sums)
+    marginals, defect = _row_terms(terms)
     memo = _MARGINALS.get()
     total = 0.0
     for (marg_w, marg_c), matrix in zip(marginals, matrices):
         total += _marginal_information(memo, marg_w, muv @ matrix, marg_c @ matrix)
-    return total - _defect(axis_sums, weights)
+    return total - defect

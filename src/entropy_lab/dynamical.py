@@ -102,8 +102,9 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
     sum_n I(marginal_n; partitions[n]) - (sum_n S(marginal weights) - S(weights)).
     The trivial decomposition gives exactly 0; the supremum over all
     decompositions defines the multi-time entropy of the partition family.
-    After one ``check_recombines`` of mu the value comes from one fused pass
-    over the checked arrays, equal float for float to the sum of each
+    The marginals and the defect were computed when the decomposition was
+    built; after one ``check_recombines`` of mu, ``_cnt_value`` adds each
+    marginal's information, equal float for float to the sum of each
     marginal's ``_information`` alone minus ``entropy_defect``.
     """
     parts = list(partitions)
@@ -113,9 +114,7 @@ def cnt_functional(mu, decomposition: Decomposition, partitions) -> float:
         )
     muv = decomposition.check_recombines(mu)
     matrices = [_response_of(part, muv.shape[0]) for part in parts]
-    return _cnt_value(
-        muv, decomposition.weights, decomposition.components, decomposition.index_sizes, matrices
-    )
+    return _cnt_value(muv, decomposition._terms, matrices)
 
 
 @dataclass(eq=False)
@@ -174,7 +173,9 @@ def cnt_search(
 
     Both stacked families come from ``_candidates``, in chunks of at most
     ``SCAN_CHUNK`` decompositions, each built as one stack and validated
-    once.  Every candidate gets one ``cnt_functional`` call, and a later
+    once, with the marginals and entropy defect of all its rows computed in
+    the same stacked pass.  Every candidate gets one ``cnt_functional`` call,
+    which adds only the partition-dependent information, and a later
     candidate replaces the witness only when its value is strictly larger.
     A map pair's time-0 marginal depends on its first map alone and its
     time-1 marginal on its second, so over the identification family each

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 import entropy_lab as el
-from entropy_lab.decompositions import Decomposition, _axis_sums, _marginals
+from entropy_lab.decompositions import Decomposition, _row_terms
 from entropy_lab.entropy import relative_entropy_rows
 
 # One profile for every property test: no deadline, since a draw's run time
@@ -56,9 +56,9 @@ def random_prob(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def marginal(dec: Decomposition, axis: int) -> Decomposition:
-    """Marginal decomposition of one index axis, from the code ``cnt_functional`` runs."""
-    w, sizes = dec.weights, dec.index_sizes
-    return Decomposition(*_marginals(w, dec.components, sizes, _axis_sums(w, sizes))[axis])
+    """Marginal decomposition of one index axis, from the terms ``cnt_functional`` reads."""
+    marginals, _ = _row_terms(dec._terms)
+    return Decomposition(*marginals[axis])
 
 
 def kl(p, q) -> float:

@@ -12,8 +12,12 @@ and ``cnt_search`` is rebuilt one candidate at a time through the public
 ``Decomposition`` and ``cnt_functional``.  One reference shares the
 library's kernel on purpose: ``index_information`` evaluates a single
 decomposition index alone, so that the fused ``cnt_functional`` can be
-required to equal it float for float.  Set partitions are listed by
-filtering every string in ``itertools.product``.
+required to equal it float for float.  The marginals and the entropy
+defect, which the library computes for a whole stack of decompositions at
+once, are kept here in their one-decomposition form (``axis_sums``,
+``marginals``, ``defect``), which every stacked row must equal float for
+float.  Set partitions are listed by filtering every string in
+``itertools.product``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import math
 import numpy as np
 
 from entropy_lab import Decomposition, cnt_functional, trivial_decomposition
-from entropy_lab.decompositions import _information
-from entropy_lab.entropy import MI_FORM_TOL
+from entropy_lab.decompositions import PRUNE_TOL, _information
+from entropy_lab.entropy import MI_FORM_TOL, _eta
 from entropy_lab.partitions import _response_of
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -204,6 +208,46 @@ def index_information(mu, decomposition: Decomposition, f) -> float:
     base = muv @ matrix
     outcome_rows = decomposition.components @ matrix
     return _information(decomposition.weights, base, outcome_rows)
+
+
+def _other_axes(arity: int) -> list[tuple[int, ...]]:
+    """For each index axis, the other axes its marginal sums over."""
+    axes = tuple(range(arity))
+    return [axes[:axis] + axes[axis + 1 :] for axis in axes]
+
+
+def axis_sums(weights: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """Weight sums of every index axis of one decomposition, neither pruned nor renormalized."""
+    joint = weights.reshape(sizes)
+    return [joint.sum(axis=other) for other in _other_axes(len(sizes))]
+
+
+def marginals(
+    weights: np.ndarray, components: np.ndarray, sizes: tuple[int, ...], sums_per_axis
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Weights and components of every axis' marginal of one decomposition.
+
+    ``weights[:, None] * components`` is formed once and summed over the
+    other axes of each axis.  The indices whose weight sum is above
+    PRUNE_TOL are kept: their sums, renormalized, are the marginal weights,
+    and their summed products divided by the sums are the components.
+    """
+    wc = (weights[:, None] * components).reshape(*sizes, components.shape[1])
+    result = []
+    for other, sums in zip(_other_axes(len(sizes)), sums_per_axis):
+        summed = wc.sum(axis=other)
+        keep = sums > PRUNE_TOL
+        sums, summed = sums[keep], summed[keep]
+        result.append((sums / sums.sum(), summed / sums[:, None]))
+    return result
+
+
+def defect(sums_per_axis, weights: np.ndarray) -> float:
+    """Entropy defect sum_axis S(axis sums) - S(weights), one ``_eta`` call per piece."""
+    total = 0.0
+    for sums in sums_per_axis:
+        total += float(_eta(sums).sum())
+    return total - float(_eta(weights).sum())
 
 
 def cnt_value(mu, weights, components, sizes, matrices) -> float:

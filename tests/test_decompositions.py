@@ -1,13 +1,26 @@
 """Convex decompositions, marginals, entropy defect, extremal enumeration."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entropy_lab as el
 from entropy_lab import ValidationError
-from entropy_lab.decompositions import Decomposition, _induced_stack
+from entropy_lab.decompositions import (
+    PRUNE_TOL,
+    Decomposition,
+    _identifications,
+    _induced_stack,
+    _row_terms,
+)
 
+import oracles
 from conftest import marginal, random_partition, random_prob
+from strategies import SEEDS, systems
 
 
 class TestDecomposition:
@@ -42,6 +55,12 @@ class TestDecomposition:
         assert checked[1] == mu[1]
         with pytest.raises(ValidationError, match="wrong measure"):
             dec.check_recombines([0.5, 0.5])
+
+    def test_fields_are_frozen_with_their_terms(self):
+        dec = Decomposition([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], (2, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.weights = np.array([1.0, 0.0])
+        assert np.array_equal(dec.weights, [0.5, 0.5])
 
     def test_check_recombines_rejects_dimension_mismatch(self):
         dec = Decomposition([1.0], [[0.5, 0.5]])
@@ -173,3 +192,70 @@ class TestMultiDecomposition:
             comps = rng.dirichlet(np.ones(3), size=6)
             dec = Decomposition(weights, comps, (2, 3))
             assert el.entropy_defect(dec) >= -1e-12
+
+
+@st.composite
+def stacks(draw):
+    """A stack of identification or Dirichlet decompositions and its index sizes.
+
+    The measure is a zoo chain's stationary law on 1 to 3 states; the index sizes
+    are (1, 1), (n, n) or (2, 3, 2); a stack holds 1, 7 or 256 rows.  With a tiny
+    mass the first state's mass is set in (0, PRUNE_TOL] and the first row sends
+    that state alone to index 0 of the first axis (of every axis for maps), so
+    that axis' weight sum falls in (0, PRUNE_TOL] and is pruned.  Returns the
+    stack, the sizes and whether that prune was forced.
+    """
+    n = draw(st.integers(1, 3))
+    mu = draw(systems(n)).stationary.copy()
+    sizes = draw(st.sampled_from(((1, 1), (n, n), (2, 3, 2))))
+    rows = draw(st.sampled_from((1, 7, 256)))
+    tiny = draw(st.sampled_from((None, 1e-18, 1e-16, 0.9 * PRUNE_TOL)))
+    forced = tiny is not None and n >= 2 and sizes[0] >= 2
+    if forced:
+        mu[1:] *= (1.0 - tiny) / mu[1:].sum()
+        mu[0] = tiny
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        maps = np.stack([rng.integers(0, size, size=(rows, n)) for size in sizes], axis=1)
+        if forced:
+            maps[0] = np.minimum(1, np.arange(n))[None, :] * (np.array(sizes)[:, None] > 1)
+        return _identifications(mu, maps, sizes), sizes, forced
+    cells = math.prod(sizes)
+    draws = rng.dirichlet(np.ones(cells), size=(rows, n))
+    if forced:
+        first = np.unravel_index(np.arange(cells), sizes)[0] == 0
+        draws[0, 1:, first] = 0.0
+        draws[0, 0] = first / first.sum()
+        draws[0] /= draws[0].sum(axis=1, keepdims=True)
+    return _induced_stack(mu, draws, sizes), sizes, forced
+
+
+def same_floats(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedTerms:
+    """The marginals and defect computed once per stack are the one-decomposition floats."""
+
+    @settings(max_examples=80)
+    @given(stacks())
+    def test_every_row_equals_the_oracles_bit_for_bit(self, stack):
+        decompositions, sizes, forced = stack
+        pruned = False
+        for dec in decompositions:
+            sums = oracles.axis_sums(dec.weights, sizes)
+            pruned |= any(((s > 0.0) & (s <= PRUNE_TOL)).any() for s in sums)
+            want = oracles.marginals(dec.weights, dec.components, sizes, sums)
+            got, defect = _row_terms(dec._terms)
+            assert len(got) == len(want) == len(sizes)
+            for (got_w, got_c), (want_w, want_c) in zip(got, want):
+                assert same_floats(got_w, want_w)
+                assert same_floats(got_c, want_c)
+            assert defect.hex() == oracles.defect(sums, dec.weights).hex()
+            public = Decomposition(dec.weights, dec.components, sizes)
+            assert el.entropy_defect(public).hex() == defect.hex()
+            for (public_w, public_c), (want_w, want_c) in zip(_row_terms(public._terms)[0], want):
+                assert same_floats(public_w, want_w)
+                assert same_floats(public_c, want_c)
+        assert pruned or not forced

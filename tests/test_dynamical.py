@@ -570,6 +570,17 @@ def _recorded_search(system, f, g, budget, seed, chunk=dynamical.SCAN_CHUNK):
     return result, calls
 
 
+@pytest.mark.parametrize("budget", [0, 1, 300])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_cnt_functional_call_per_candidate(n, budget):
+    """1 + n^(2n) + budget calls: the trivial decomposition, every identification and
+    every random trial, once each; 300 trials span two chunks of ``SCAN_CHUNK``."""
+    rng = np.random.default_rng(n)
+    system, f = random_system(rng, n), random_partition(rng, n, 2)
+    _, calls = _recorded_search(system, f, None, budget, seed=1)
+    assert len(calls) == 1 + n ** (2 * n) + budget
+
+
 class TestMarginalMemo:
     """The identification scan computes each distinct marginal's information once."""
 

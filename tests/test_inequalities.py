@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropy_lab as el
+from entropy_lab.entropy import MI_FORM_TOL
 
 from conftest import (
     fixture_path,
@@ -21,6 +22,7 @@ from conftest import (
     random_system,
 )
 from oracles import gram_state
+from strategies import partitions, systems
 
 
 def mix_densities(weights, rhos):
@@ -228,6 +230,29 @@ class TestMonotonicityInDepth:
             for kind in (el.EntropyKind.KOW, el.EntropyKind.AFL):
                 seq = el.entropy_sequence(system, part, kind, 4)
                 assert np.all(np.diff(seq.values) >= -1e-9)
+
+    @settings(max_examples=60)
+    @given(systems(2), partitions(2, max_k=4))
+    def test_mak_nondecreasing_on_two_states(self, system, part):
+        """On two states ``mak`` is nondecreasing in depth: a proof by the fidelity.
+
+        The mak value is the entropy of the Gram side G_N[x, y] = sqrt(mu_x mu_y)
+        BC_N(x, y), where BC_N(x, y) = sum_w sqrt(P_N(w|x) P_N(w|y)) is the
+        Bhattacharyya coefficient (the classical fidelity) of the depth-N word laws
+        from starts x and y.  Summing the depth-N law over the last symbol gives the
+        depth-(N - 1) law, and by Cauchy-Schwarz, for each word v of depth N - 1,
+        sum_a sqrt(P_N(va|x) P_N(va|y)) <= sqrt(P_{N-1}(v|x) P_{N-1}(v|y)); so
+        BC_N <= BC_{N-1}, the monotonicity of the fidelity under coarse graining
+        (Nielsen & Chuang, section 9.2.2).  The diagonal G_N[x, x] = mu_x is fixed.
+        A 2 x 2 state with diagonal (mu_0, mu_1) and off-diagonal c >= 0 has the
+        eigenvalues 1/2 +- r with r = sqrt((mu_0 - mu_1)^2 / 4 + c^2), so its
+        entropy falls as c grows.  Hence mak_N >= mak_{N-1}.  With three or more
+        states smaller overlaps need not mean more entropy, so ``entropy_sequence``
+        does not check ``mak``; this checks the proved case within ``MI_FORM_TOL``.
+        """
+        seq = el.entropy_sequence(system, part, el.EntropyKind.MAK, 6)
+        assert seq.truncated_at is None
+        assert np.all(np.diff(seq.values) >= -MI_FORM_TOL)
 
     def test_kow_increments_never_exceed_log_k(self):
         rng = np.random.default_rng(173)
